@@ -344,7 +344,7 @@ def sobolev_experiment(f, h: float = 1e-3, radii_per_decade: int = 48,
     gf = GridFunction(grid, f.value(grid.axis(0)) - shift)
     rg = RadiusGrid.geometric(r_min, 1.2 * grid.cell_box().diameter(),
                               radii_per_decade)
-    fld = oscillation_field(gf, rg, threads=threads)
+    fld = oscillation_field(gf, rg)
     curve = distribution_curve(fld, LambdaGrid.geometric(lam_min, lam_max,
                                                          48),
                                threads=threads)

@@ -13,6 +13,16 @@ edge.  On purely atomic measures the augmented sweep attains the exact
 supremum for every point farther than r_min from the support; the result is
 always a lower bound of the true supremum and it is nondecreasing under
 radius-grid refinement.
+
+The 1D oscillation field takes every window mean from one prefix sum and
+the deviation from sum |v - m| = 2 sum_{v > m} (v - m).  The samples are
+split once into maximal monotone runs; inside a run {v > m} is one
+contiguous block, so a window of W nodes costs O(runs * log n) instead of
+O(W).  A radius whose windows are at most 16 nodes per run wide scans them
+directly instead, which is cheaper there, and serves noisy input with many
+runs.  oscillation_field takes no thread count: a radius-chunked thread
+pool measured no gain, and with the run path a piecewise-affine input takes
+tens of milliseconds.
 """
 
 from __future__ import annotations
@@ -292,48 +302,109 @@ def oscillation_point(f: GridFunction, x, rg: RadiusGrid) -> OscillationValue:
     return OscillationValue(best, not admitted)
 
 
-def _oscillation_field_1d(f: GridFunction, rg: RadiusGrid, threads: int):
+def _monotone_runs(vals: np.ndarray) -> list:
+    """Split the samples into maximal monotone runs.
+
+    Returns (start, stop, key, rising) per run, stop exclusive, runs
+    disjoint and covering every node.  Flat steps join the current run
+    (leading flats the first one), and each run starts at the node where
+    the direction turns.  key holds the run's samples (negated on a falling
+    run), so it is nondecreasing and searchsorted applies.
+    """
+    steps = np.sign(np.diff(vals))
+    moves = np.flatnonzero(steps)
+    if moves.size == 0:
+        return [(0, len(vals), vals, True)]
+    signs = steps[moves]
+    turns = np.flatnonzero(signs[1:] != signs[:-1]) + 1
+    starts = np.concatenate([[0], moves[turns]])
+    stops = np.append(starts[1:], len(vals))
+    runs = []
+    for s, e, sign in zip(starts, stops, signs[np.concatenate([[0], turns])]):
+        s, e, rising = int(s), int(e), bool(sign > 0)
+        runs.append((s, e, vals[s:e] if rising else -vals[s:e], rising))
+    return runs
+
+
+def _window_deviations(vals, i_lo, K, means):
+    """Mean |v - m| over each window [i-K, i+K], i = i_lo, i_lo+1, ...,
+    from explicit sliding windows: O(W) per centre."""
+    W = 2 * K + 1
+    windows = sliding_window_view(vals, W)
+    dev = np.empty(len(means))
+    block = max(1, int(4_000_000 // W))
+    for b in range(0, len(means), block):
+        e = min(b + block, len(means))
+        segs = windows[i_lo - K + b:i_lo - K + e]
+        dev[b:e] = np.mean(np.abs(segs - means[b:e, None]), axis=1)
+    return dev
+
+
+def _run_deviations(prefix, runs, i_lo, K, means):
+    """Mean |v - m| over the same windows as _window_deviations, from
+    sum |v - m| = 2 sum_{v > m} (v - m): inside a monotone run {v > m} is
+    one contiguous block, found by one searchsorted and summed by prefix
+    sums, so a centre costs O(log n) per run its window meets.  Rounding
+    can leave values slightly below 0; callers clamp."""
+    excess = np.zeros(len(means))
+    i_hi = i_lo + len(means) - 1
+    for s, e, key, rising in runs:
+        a = max(s - K, i_lo) - i_lo
+        b = min(e - 1 + K, i_hi) - i_lo + 1
+        if a >= b:
+            continue  # no window meets this run
+        centers = np.arange(i_lo + a, i_lo + b)
+        m = means[a:b]
+        lo = np.maximum(centers - K, s)
+        hi = np.minimum(centers + K + 1, e)
+        if rising:
+            first = s + np.searchsorted(key, m, side="right")
+            lo = np.clip(first, lo, hi)
+        else:
+            stop = s + np.searchsorted(key, -m, side="left")
+            hi = np.clip(stop, lo, hi)
+        excess[a:b] += prefix[hi] - prefix[lo] - m * (hi - lo)
+    return 2.0 * excess / (2 * K + 1)
+
+
+# a radius takes the run path when its window is wider than this many
+# nodes per monotone run; narrower windows are cheaper to scan directly
+_RUN_PATH_WIDTH = 16
+
+
+def _oscillation_field_1d(f: GridFunction, rg: RadiusGrid,
+                          path: Optional[str] = None):
+    """path forces "runs" or "window" on every radius (for tests); None
+    applies the cost rule W > _RUN_PATH_WIDTH * (run count)."""
     vals = f.values
     n = len(vals)
     h = f.grid.spacing
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
-
-    def sweep(rs):
-        best = np.zeros(n)
-        admitted = np.zeros(n, dtype=bool)
-        for r in rs:
-            K = _node_window(r, h)
-            i_lo = max(K, _span_margin(r, h))
-            i_hi = n - 1 - i_lo
-            if i_lo > i_hi:
-                continue
-            admitted[i_lo:i_hi + 1] = True
-            if K == 0:
-                continue  # single-node window, deviation 0
-            W = 2 * K + 1
-            centers = np.arange(i_lo, i_hi + 1)
-            means = (prefix[centers + K + 1] - prefix[centers - K]) / W
-            windows = sliding_window_view(vals, W)
-            block = max(1, int(4_000_000 // W))
-            for b in range(0, len(centers), block):
-                e = min(b + block, len(centers))
-                segs = windows[i_lo - K + b:i_lo - K + e]
-                dev = np.mean(np.abs(segs - means[b:e, None]), axis=1)
-                out = slice(i_lo + b, i_lo + e)
-                np.maximum(best[out], dev / r, out=best[out])
-        return best, admitted
-
-    if threads <= 1 or rg.count < 4:
-        best, admitted = sweep(rg.radii)
-    else:
-        chunks = np.array_split(rg.radii, min(threads, rg.count))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(sweep, chunks))
-        best = parts[0][0]
-        admitted = parts[0][1]
-        for b, a in parts[1:]:
-            best = np.maximum(best, b)
-            admitted |= a
+    runs = _monotone_runs(vals)
+    best = np.zeros(n)
+    admitted = np.zeros(n, dtype=bool)
+    for r in rg.radii:
+        K = _node_window(r, h)
+        i_lo = max(K, _span_margin(r, h))
+        i_hi = n - 1 - i_lo
+        if i_lo > i_hi:
+            continue
+        admitted[i_lo:i_hi + 1] = True
+        if K == 0:
+            continue  # single-node window, deviation 0
+        W = 2 * K + 1
+        centers = np.arange(i_lo, i_hi + 1)
+        means = (prefix[centers + K + 1] - prefix[centers - K]) / W
+        if path is None:
+            use_runs = W > _RUN_PATH_WIDTH * len(runs)
+        else:
+            use_runs = path == "runs"
+        if use_runs:
+            dev = _run_deviations(prefix, runs, i_lo, K, means)
+        else:
+            dev = _window_deviations(vals, i_lo, K, means)
+        out = slice(i_lo, i_hi + 1)
+        np.maximum(best[out], dev / r, out=best[out])
     return best, ~admitted
 
 
@@ -368,12 +439,15 @@ def _oscillation_field_2d(f: GridFunction, rg: RadiusGrid):
     return best.ravel(), ~admitted.ravel()
 
 
-def oscillation_field(f: GridFunction, rg: RadiusGrid,
-                      threads: int = 1) -> MaximalField:
+def oscillation_field(f: GridFunction, rg: RadiusGrid) -> MaximalField:
     """A f at every node.  Nodes where all radii were skipped carry value 0
-    and a flag."""
+    and a flag.
+
+    In 1D a radius costs O(n * runs * log n) on n samples with few monotone
+    runs and O(n * W) on noisy ones (see the module docstring); in 2D it
+    costs O(n * disc nodes)."""
     if f.grid.dimension == 1:
-        best, flags = _oscillation_field_1d(f, rg, threads)
+        best, flags = _oscillation_field_1d(f, rg)
     else:
         best, flags = _oscillation_field_2d(f, rg)
     return MaximalField(f.grid, best.reshape(f.grid.extents), "A", rg,

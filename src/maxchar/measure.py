@@ -52,6 +52,16 @@ def _as_curve(points, rho):
     return pts, float(rho), lens
 
 
+def _finite_total_variation(tv: float, parts: np.ndarray,
+                            scale: float = 1.0) -> float:
+    """tv + scale * sum(parts), raising instead of overflowing."""
+    with np.errstate(over="ignore"):
+        tv += float(np.sum(parts)) * scale
+    if not math.isfinite(tv):
+        raise ValueError("total variation must be finite")
+    return tv
+
+
 @dataclass(frozen=True)
 class Measure:
     """Immutable signed measure on R^d, d in {1, 2}."""
@@ -88,6 +98,9 @@ class Measure:
         object.__setattr__(self, "atoms", tuple(zip(map(tuple, apos), aw)))
         object.__setattr__(self, "_apos", apos)
         object.__setattr__(self, "_aw", aw)
+        # total variation is summed before any cumulative sum, so weights
+        # whose sum overflows fail with the error below and no numpy warning
+        tv = _finite_total_variation(0.0, np.abs(aw))
 
         if d == 1 and len(apos):
             order = np.argsort(apos[:, 0], kind="stable")
@@ -115,6 +128,7 @@ class Measure:
                 raise ValueError("non-finite density values")
             object.__setattr__(self, "density", (grid, values))
             cellv = grid.cell_volume
+            tv = _finite_total_variation(tv, np.abs(values), cellv)
             if d == 1:
                 edges = grid.origin[0] - 0.5 * grid.spacing + \
                     grid.spacing * np.arange(grid.extents[0] + 1)
@@ -165,14 +179,8 @@ class Measure:
             tuple((pts, rho) for pts, rho, _ in curves))
         object.__setattr__(self, "_curve_data", tuple(curves))
 
-        tv = float(np.sum(np.abs(aw)))
-        if self.density is not None:
-            g, v = self.density
-            tv += float(np.sum(np.abs(v))) * g.cell_volume
         for _, rho, lens in curves:
-            tv += abs(rho) * float(np.sum(lens))
-        if not math.isfinite(tv):
-            raise ValueError("total variation must be finite")
+            tv = _finite_total_variation(tv, lens, abs(rho))
         object.__setattr__(self, "_total_variation", tv)
 
     # ------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxchar.errors import WindowTooSmallError
 from maxchar.geometry import UniformGrid
-from maxchar.maximal import (RadiusGrid, maximal_field, maximal_point,
-                             maximal_values_at, oscillation_field,
-                             oscillation_point)
+from maxchar.maximal import (RadiusGrid, _monotone_runs,
+                             _oscillation_field_1d, maximal_field,
+                             maximal_point, maximal_values_at,
+                             oscillation_field, oscillation_point)
 from maxchar.measure import GridFunction, Measure, unit_atom
 
 RG = RadiusGrid.geometric(1e-3, 8.0, 32)
@@ -143,14 +145,6 @@ class TestOscillation:
             assert fld.values[idx] == pytest.approx(pt.value, abs=1e-12)
             assert bool(fld.flags[idx]) == pt.skipped_all
 
-    def test_field_threads_match_serial(self):
-        f = tent_function(h=0.005, pad=0.5)
-        rg = RadiusGrid.geometric(0.02, 1.0, 24)
-        a = oscillation_field(f, rg, threads=1)
-        b = oscillation_field(f, rg, threads=3)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.flags, b.flags)
-
     def test_2d_constant_is_zero(self):
         grid = UniformGrid.cover_cells([-1.0, -1.0], [1.0, 1.0], 0.05)
         f = GridFunction(grid, np.ones(grid.extents))
@@ -159,3 +153,87 @@ class TestOscillation:
         inner = fld.values[~fld.flags]
         assert inner.size > 0
         assert np.all(inner == 0.0)
+
+
+# ----------------------------------------------------------------------
+# the run path of the 1D oscillation field against the sliding window
+
+
+def assert_paths_agree(f, rg):
+    runs = _oscillation_field_1d(f, rg, path="runs")
+    window = _oscillation_field_1d(f, rg, path="window")
+    # both paths take the window means from one prefix sum, whose rounding
+    # (eps * sum |v|) is all a field that is 0 in exact arithmetic shows
+    floor = np.finfo(float).eps * np.sum(np.abs(f.values)) / f.grid.spacing
+    tol = 1e-10 * float(np.max(window[0])) + floor
+    assert np.max(np.abs(runs[0] - window[0])) <= tol
+    assert np.array_equal(runs[1], window[1])
+    return runs, window
+
+
+@st.composite
+def piecewise_affine_samples(draw):
+    """Node values of a piecewise-affine function: pieces of 1-60 nodes
+    with a jump in front, a third of them flat."""
+    values = []
+    level = draw(st.floats(min_value=-2.0, max_value=2.0))
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        count = draw(st.integers(min_value=1, max_value=60))
+        level += draw(st.one_of(st.just(0.0),
+                                st.floats(min_value=-3.0, max_value=3.0)))
+        slope = draw(st.one_of(st.just(0.0), st.just(0.0),
+                               st.floats(min_value=-0.5, max_value=0.5)))
+        values.extend(level + slope * np.arange(count))
+        level = values[-1]
+    return np.array(values)
+
+
+class TestOscillationRunPath:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(piecewise_affine_samples(), st.integers(min_value=0, max_value=30),
+           st.lists(st.integers(min_value=1, max_value=120), max_size=6),
+           st.floats(min_value=4.0, max_value=150.0))
+    def test_runs_match_sliding_window(self, samples, pad, multiples, top):
+        h = 0.01
+        samples = np.concatenate([np.full(pad, samples[0]), samples,
+                                  np.full(pad, samples[-1])])
+        grid = UniformGrid((0.0,), h, (len(samples),))
+        # r = 4h, exact multiples of h and a geometric sweep up to top * h
+        radii = np.concatenate([[4 * h], h * np.asarray(multiples, float),
+                                np.geomspace(h, top * h, 12)])
+        rg = RadiusGrid(np.unique(radii))
+        assert_paths_agree(GridFunction(grid, samples), rg)
+
+        runs = _monotone_runs(samples)
+        assert [s for s, _, _, _ in runs] == \
+            [0] + [e for _, e, _, _ in runs[:-1]]
+        assert runs[-1][1] == len(samples)
+        for _, _, key, _ in runs:
+            assert np.all(np.diff(key) >= 0)
+
+    def test_noisy_samples_take_the_fallback(self):
+        rng = np.random.default_rng(7)
+        grid = UniformGrid.cover_cells([-1.0], [1.0], 0.01)
+        x = grid.axis(0)
+        f = GridFunction(grid, np.abs(x) + 0.05 * rng.standard_normal(len(x)))
+        rg = RadiusGrid.geometric(0.04, 1.0, 24)
+        # every window is narrower than 16 nodes per run
+        assert 16 * len(_monotone_runs(f.values)) > len(x)
+        _, window = assert_paths_agree(f, rg)
+        fld = oscillation_field(f, rg)
+        assert np.array_equal(fld.values, window[0])
+        assert np.array_equal(fld.flags, window[1])
+
+    def test_samples_equal_to_the_window_mean(self):
+        # integer ramps and plateaus: every window mean on a ramp is a
+        # sample, exactly, so ties between v and m decide nothing
+        samples = np.concatenate([np.zeros(20), np.arange(40.0),
+                                  np.full(20, 39.0), np.arange(39.0, -1, -1)])
+        grid = UniformGrid((0.0,), 1.0, (len(samples),))
+        rg = RadiusGrid(np.arange(2.0, 12.0))
+        runs, _ = assert_paths_agree(GridFunction(grid, samples), rg)
+        # on the rising ramp, sum |j - i| over |j - i| <= K is K (K + 1)
+        i = 40
+        expect = max(K * (K + 1) / (2 * K + 1) / (K + 1.0)
+                     for K in range(1, 11))
+        assert runs[0][i] == pytest.approx(expect, rel=1e-14)

@@ -232,6 +232,18 @@ class TestCliExitCodes:
             assert run_cli(*argv) == 1, argv
             assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_weights_fail_without_warnings(self, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"dimension": 1, "atoms": [
+            {"location": 0.0, "weight": 1e308},
+            {"location": 1.0, "weight": 1e308}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxchar", "distcurve", "--input", str(p)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {p}:1: invalid measure: "
+                               "total variation must be finite\n")
+
     def test_broken_spec_reports_line(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text('{\n"dimension": 1,\n'
@@ -270,6 +282,15 @@ class TestCliArtifacts:
         code = run_cli("sobolev", "--input", str(SPECS / "tent.json"),
                        "--h", "0.002", "--expect", "bv_with_jumps")
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["tent", "step"])
+    def test_sobolev_artifacts_match_committed_runs(self, tmp_path, name):
+        assert run_cli("sobolev", "--input", str(SPECS / f"{name}.json"),
+                       "--out", str(tmp_path)) == 0
+        committed = SPECS.parent / "runs" / f"{name}-A"
+        for artifact in ("curve.csv", "curve.svg", "verdict.txt"):
+            assert (tmp_path / artifact).read_bytes() == \
+                (committed / artifact).read_bytes(), artifact
 
     def test_decay_artifacts(self, tmp_path, capsys):
         out = tmp_path / "sign"
