@@ -196,7 +196,9 @@ def segment_ball_chords_at(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
     if seg2 == 0.0:
         return np.zeros(len(centers))
     w = a - centers  # (n, d)
-    bq = 2.0 * (w @ u)
+    # einsum, not w @ u: BLAS rounds a row differently depending on which
+    # other rows it receives, and a chord must not depend on them
+    bq = 2.0 * np.einsum("ij,j->i", w, u)
     cq = np.einsum("ij,ij->i", w, w) - radii**2
     disc = bq * bq - 4.0 * seg2 * cq
     out = np.zeros(len(centers))

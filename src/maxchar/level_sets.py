@@ -302,7 +302,7 @@ def distribution_experiment(mu: Measure, variant: str = "M",
     grid = evaluation_grid(mu, lam_min, h, cushion)
     rg = RadiusGrid.geometric(h, 1.2 * grid.cell_box().diameter(),
                               radii_per_decade)
-    fld = maximal_field(mu, grid, rg, variant, tau=tau, threads=threads)
+    fld = maximal_field(mu, grid, rg, variant, tau=tau)
     curve = distribution_curve(fld, LambdaGrid.geometric(lam_min, lam_max,
                                                          48),
                                threads=threads)
@@ -362,8 +362,7 @@ class ReverseWeakResult(NamedTuple):
 def reverse_weak11_check(f: GridFunction, t: float, big_c: float = 1.0,
                          c_emp: float = 0.1,
                          radius_grid: Optional[RadiusGrid] = None,
-                         cube: Optional[Box] = None,
-                         threads: int = 1) -> ReverseWeakResult:
+                         cube: Optional[Box] = None) -> ReverseWeakResult:
     """Reverse-direction weak (1,1) bound for a nonnegative grid density:
 
         t * vol({Mf > big_c * t})  >=  c_emp * integral of f over {f > t} ?
@@ -396,7 +395,7 @@ def reverse_weak11_check(f: GridFunction, t: float, big_c: float = 1.0,
     grid = evaluation_grid(mu, level, h)
     if radius_grid is None:
         radius_grid = RadiusGrid.geometric(h, 1.2 * grid.cell_box().diameter())
-    fld = maximal_field(mu, grid, radius_grid, "M", threads=threads)
+    fld = maximal_field(mu, grid, radius_grid, "M")
     volume, _ = superlevel_volume(fld, level)
     lhs = t * volume
     ratio = lhs / rhs if rhs > 0 else math.inf

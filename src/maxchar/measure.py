@@ -242,17 +242,23 @@ class Measure:
     # ball queries
 
     def ball_masses(self, points, radii, absolute: bool = False,
-                    closed: bool = False, _atom_dist=None) -> np.ndarray:
+                    closed: bool = False, _atom_dist=None,
+                    _rows=None) -> np.ndarray:
         """Mass of per-point balls: points (n, d), radii scalar or (n,).
 
         closed=True switches atom inclusion to the closed ball; density and
         curve contributions are continuous in the radius so the flag only
-        moves their measure-zero boundary cells/chords.
+        moves their measure-zero boundary cells/chords.  _rows (indices)
+        returns the masses of those points only, bit for bit as in the
+        full result.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = len(points)
-        radii = np.broadcast_to(np.asarray(radii, dtype=float), (n,))
-        out = np.zeros(n)
+        radii = np.broadcast_to(np.asarray(radii, dtype=float),
+                                (len(points),))
+        all_points, all_radii = points, radii
+        if _rows is not None:
+            points, radii = points[_rows], radii[_rows]
+        out = np.zeros(len(points))
         up_side, lo_side = _SIDES_CLOSED if closed else _SIDES_OPEN
 
         if len(self._apos):
@@ -263,13 +269,19 @@ class Measure:
                 lo = np.searchsorted(self._apos1, x - radii, side=lo_side)
                 out += cum[hi] - cum[lo]
             else:
+                # BLAS rounds a row of mask @ w differently depending on
+                # which other rows it receives, so this term always runs
+                # over all points and _rows picks from the result
                 D = _atom_dist
                 if D is None:
                     D = np.linalg.norm(
-                        points[:, None, :] - self._apos[None, :, :], axis=2)
-                mask = D <= radii[:, None] if closed else D < radii[:, None]
+                        all_points[:, None, :] - self._apos[None, :, :],
+                        axis=2)
+                r = all_radii[:, None]
+                mask = D <= r if closed else D < r
                 w = np.abs(self._aw) if absolute else self._aw
-                out += mask @ w
+                mass = mask @ w
+                out += mass if _rows is None else mass[_rows]
 
         if self.density is not None:
             if self.dimension == 1:

@@ -61,8 +61,7 @@ def _size(corpus_size: Optional[int], full: int) -> int:
 def _check_atom_normalization(seed, corpus_size, threads):
     mu = unit_atom(0.0)
     grid = UniformGrid.cover_cells([-2.0], [2.0], 1e-3)
-    fld = maximal_field(mu, grid, RadiusGrid.geometric(1e-3, 4.0, 64), "M",
-                        threads=threads)
+    fld = maximal_field(mu, grid, RadiusGrid.geometric(1e-3, 4.0, 64), "M")
     curve = distribution_curve(fld, LambdaGrid.geometric(1.0, 100.0, 64))
     err = float(np.max(np.abs(curve.products - 1.0)))
     passed = err <= 0.02
@@ -110,7 +109,7 @@ def _check_ac_decay(seed, corpus_size, threads):
     chi = corpus.chi_unit_density()
     grid = evaluation_grid(chi, 0.05, 1e-3)
     rg = RadiusGrid.geometric(1e-3, 1.2 * grid.cell_box().diameter(), 64)
-    fld = maximal_field(chi, grid, rg, "M", threads=threads)
+    fld = maximal_field(chi, grid, rg, "M")
     worst = 0.0
     for lam in _CHI_PRODUCT_PROBES:
         vol, _ = superlevel_volume(fld, lam)
@@ -235,7 +234,7 @@ def _check_semigroup(seed, corpus_size, threads):
 def _check_reverse_weak11(seed, corpus_size, threads):
     grid = UniformGrid.cover_cells([0.0], [1.0], 1e-3)
     res = reverse_weak11_check(GridFunction(grid, np.ones(1000)), t=0.5,
-                               big_c=1.0, c_emp=0.1, threads=threads)
+                               big_c=1.0, c_emp=0.1)
     if abs(res.rhs - 1.0) > 1e-12 or abs(res.lhs - 0.5) > 0.01:
         return False, f"chi lhs={fmt(res.lhs)} rhs={fmt(res.rhs)}", {}
     c_measured = res.ratio
@@ -244,8 +243,7 @@ def _check_reverse_weak11(seed, corpus_size, threads):
         gf = GridFunction(grid_d, values)
         vmax = float(np.max(values))
         for q in (0.3, 0.6, 0.9):
-            r = reverse_weak11_check(gf, t=q * vmax, big_c=1.0, c_emp=0.1,
-                                     threads=threads)
+            r = reverse_weak11_check(gf, t=q * vmax, big_c=1.0, c_emp=0.1)
             if r.rhs > 0:
                 c_measured = min(c_measured, r.ratio)
             if not r.holds:
@@ -268,9 +266,8 @@ def _check_stopped_scale(seed, corpus_size, threads):
             grid = evaluation_grid(mu, bound, 1e-3)
             rg = RadiusGrid.geometric(1e-3,
                                       1.2 * grid.cell_box().diameter(), 48)
-            full = maximal_field(mu, grid, rg, "M", threads=threads)
-            stopped = maximal_field(mu, grid, rg, "Mtau", tau=tau,
-                                    threads=threads)
+            full = maximal_field(mu, grid, rg, "M")
+            stopped = maximal_field(mu, grid, rg, "Mtau", tau=tau)
             for lam in np.geomspace(bound * 1.01, bound * 101.0, 13):
                 if not np.array_equal(full.values > lam,
                                       stopped.values > lam):
@@ -333,8 +330,8 @@ def _check_determinism(seed, corpus_size, threads):
                for a, b in zip(first, second))
     grid = UniformGrid.cover_cells([0.0], [1.0], 1e-3)
     gf = GridFunction(grid, np.ones(1000))
-    r1 = reverse_weak11_check(gf, t=0.5, threads=threads)
-    r2 = reverse_weak11_check(gf, t=0.5, threads=max(2, threads))
+    r1 = reverse_weak11_check(gf, t=0.5)
+    r2 = reverse_weak11_check(gf, t=0.5)
     same = same and r1.lhs == r2.lhs and r1.rhs == r2.rhs
     return same, f"replays_identical={int(same)}", {}
 

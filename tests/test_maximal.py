@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxchar.errors import WindowTooSmallError
-from maxchar.geometry import UniformGrid
+from maxchar.geometry import UNIT_BALL_VOLUME, UniformGrid
 from maxchar.maximal import (RadiusGrid, _monotone_runs,
                              _oscillation_field_1d, maximal_field,
                              maximal_point, maximal_values_at,
@@ -87,13 +87,6 @@ class TestMeasureVariants:
         coarse, _ = maximal_values_at(mu, pts, RG)
         fine, _ = maximal_values_at(mu, pts, RG.refined(4))
         assert np.all(fine >= coarse - 1e-15)
-
-    def test_threads_match_serial(self):
-        mu = Measure(1, atoms=(((0.0,), 1.0), ((2.0,), -0.4)))
-        grid = UniformGrid.cover_cells([-3.0], [5.0], 0.01)
-        serial = maximal_field(mu, grid, RG, "M", threads=1)
-        parallel = maximal_field(mu, grid, RG, "M", threads=4)
-        assert np.array_equal(serial.values, parallel.values)
 
     def test_window_must_cover_support(self):
         mu = unit_atom(10.0)
@@ -237,3 +230,180 @@ class TestOscillationRunPath:
         expect = max(K * (K + 1) / (2 * K + 1) / (K + 1.0)
                      for K in range(1, 11))
         assert runs[0][i] == pytest.approx(expect, rel=1e-14)
+
+
+def unpruned_values_at(mu, points, rg, variant, tau=None):
+    """maximal_values_at without the prune: every node at every radius,
+    then the same event radii."""
+    d = mu.dimension
+    omega = UNIT_BALL_VOLUME[d]
+    radii = rg.radii if variant != "Mtau" else rg.radii[rg.radii < tau]
+    signed = variant == "Mbar"
+    atom_dist = None
+    if d == 2 and len(mu._apos):
+        atom_dist = np.linalg.norm(points[:, None, :] - mu._apos[None, :, :],
+                                   axis=2)
+    best = np.zeros(len(points))
+    for r in radii:
+        m = mu.ball_masses(points, float(r), absolute=not signed,
+                           closed=False, _atom_dist=atom_dist)
+        if signed:
+            np.abs(m, out=m)
+        np.maximum(best, m / (omega * r**d), out=best)
+
+    def event(dist, closed):
+        ok = (dist > 0) & (dist >= rg.r_min)
+        ok &= dist < tau if variant == "Mtau" else dist <= rg.r_max
+        if not np.any(ok):
+            return
+        sub = atom_dist[ok] if atom_dist is not None else None
+        m = mu.ball_masses(points[ok], dist[ok], absolute=not signed,
+                           closed=closed, _atom_dist=sub)
+        if signed:
+            np.abs(m, out=m)
+        best[ok] = np.maximum(best[ok], m / (omega * dist[ok]**d))
+
+    for j in range(len(mu._apos)):
+        event(np.abs(points[:, 0] - mu._apos[j, 0]) if d == 1
+              else atom_dist[:, j], closed=True)
+    for e in mu.density_sharp_edges():
+        event(np.abs(points[:, 0] - e), closed=False)
+    return best, mu.singular_support_distance(points) < rg.r_min
+
+
+_coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+_weight = st.floats(min_value=0.05, max_value=3.0).flatmap(
+    lambda w: st.sampled_from([w, -w]))
+
+
+@st.composite
+def mixed_measures(draw):
+    """Signed atoms, a signed density with zero cells at its rim and, in
+    2D, signed polylines."""
+    d = draw(st.sampled_from([1, 2]))
+    locs = draw(st.lists(st.tuples(*[_coord] * d), max_size=4, unique=True))
+    atoms = tuple((loc, draw(_weight)) for loc in locs)
+    density = None
+    if draw(st.booleans()):
+        extents = tuple(draw(st.integers(1, 12)) for _ in range(d))
+        # non-dyadic origins and spacings, so that cell edges and the
+        # support box round apart
+        grid = UniformGrid(tuple(draw(st.integers(-200, 200)) / 101
+                                 for _ in range(d)),
+                           1.0 / draw(st.integers(3, 97)), extents)
+        values = np.array(draw(st.lists(
+            st.sampled_from([0.0, 0.0, 0.7, -1.3, 2.0, 0.25]),
+            min_size=int(np.prod(extents)), max_size=int(np.prod(extents)))))
+        density = (grid, values.reshape(extents))
+    curves = ()
+    if d == 2:
+        curves = tuple(
+            (np.array(pts), draw(_weight))
+            for pts in draw(st.lists(
+                st.lists(st.tuples(_coord, _coord), min_size=2, max_size=3,
+                         unique=True), max_size=2)))
+    return Measure(d, atoms=atoms, density=density, curves=curves)
+
+
+def touching_points(mu, radii):
+    """Points whose ball at one of the radii touches the support box, from
+    the side and, in 2D, at a corner."""
+    box = mu.support_box()
+    if box is None:
+        return np.empty((0, mu.dimension))
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    pts = []
+    for r in radii:
+        if mu.dimension == 1:
+            pts += [lo - r, hi + r]
+        else:
+            mid = 0.5 * (lo + hi)
+            pts += [(lo[0] - r, mid[1]), (mid[0], hi[1] + r),
+                    (hi[0] + 0.6 * r, lo[1] - 0.8 * r)]
+    pts = np.asarray(pts, dtype=float).reshape(-1, mu.dimension)
+    # and their neighbours one ulp inward and outward
+    return np.vstack([pts, np.nextafter(pts, -np.inf),
+                      np.nextafter(pts, np.inf)])
+
+
+class TestPrunedSweep:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(mixed_measures(), st.data())
+    def test_matches_unpruned_sweep_bit_for_bit(self, mu, data):
+        d = mu.dimension
+        rg = RadiusGrid.geometric(
+            data.draw(st.floats(min_value=0.005, max_value=0.2)),
+            data.draw(st.floats(min_value=1.0, max_value=6.0)),
+            data.draw(st.integers(min_value=4, max_value=24)))
+        tau = float(rg.radii[len(rg.radii) // 2])
+        # at the last radius a variant reaches, a ball that only touches
+        # the support has nothing larger to hide behind
+        picks = data.draw(st.lists(st.sampled_from(list(rg.radii)),
+                                   max_size=3))
+        picks += [rg.radii[-1], rg.radii[rg.radii < tau][-1]]
+        free = data.draw(st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * d),
+                                  max_size=12))
+        points = np.vstack([np.asarray(free, dtype=float).reshape(-1, d),
+                            touching_points(mu, picks)])
+        if len(points) == 0:
+            points = np.zeros((1, d))
+        for variant in ("M", "Mbar", "Mtau"):
+            got = maximal_values_at(mu, points, rg, variant, tau=tau)
+            want = unpruned_values_at(mu, points, rg, variant, tau=tau)
+            assert np.array_equal(got[0], want[0]), variant
+            assert np.array_equal(got[1], want[1]), variant
+
+    def test_measure_2d_cases_match_unpruned_sweep(self):
+        # the 2D shapes of the benchmark, shrunk: a density square, the
+        # square plus an atom (full-row atom product) and an atom cluster
+        rng = np.random.default_rng(3)
+        grid = UniformGrid((0.05, 0.05), 0.1, (10, 10))
+        square = Measure(2, density=(grid, np.ones((10, 10))))
+        cluster = Measure(2, atoms=tuple(
+            (tuple(p), w) for p, w in zip(rng.uniform(0.0, 0.05, (12, 2)),
+                                         rng.uniform(0.5, 2.0, 12))))
+        nodes = UniformGrid.cover_cells([-0.5, -0.5], [1.5, 1.5],
+                                        0.05).points()
+        rg = RadiusGrid.geometric(0.05, 2.5, 32)
+        for mu in (square, square + unit_atom((0.3, 0.6), 2), cluster):
+            for variant in ("M", "Mbar"):
+                got = maximal_values_at(mu, nodes, rg, variant)
+                want = unpruned_values_at(mu, nodes, rg, variant)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+    def test_ball_touching_the_box_keeps_its_rounding_sliver(self):
+        # the box edge rounds past the first cell edge, so the ball at r = 1
+        # that touches the box picks up a sliver of mass
+        grid = UniformGrid((12 / 101,), 1 / 7, (4,))
+        mu = Measure(1, density=(grid, np.ones(4)))
+        pt = np.array([[mu.support_box().hi[0] + 1.0]])
+        rg = RadiusGrid(np.array([0.1, 0.5, 1.0]))
+        got, _ = maximal_values_at(mu, pt, rg)
+        want, _ = unpruned_values_at(mu, pt, rg, "M")
+        assert got[0] > 0.0 and np.array_equal(got, want)
+
+    def test_mass_rounded_past_the_total_variation(self):
+        # the ball at r2 holds all the mass, summed by rows to one ulp
+        # above |mu|, and the r1 ratio equals |mu| / (pi r2^2) to rounding
+        vals = np.array([[0.64, 0.9, 0.41, 0.43, 0.48],
+                         [0.71, 0.13, 0.12, 0.14, 0.74],
+                         [0.41, 0.16, 0.13, 0.13, 0.55],
+                         [0.75, 0.12, 0.14, 0.09, 0.15],
+                         [0.14, 0.58, 0.53, 0.85, 0.12]])
+        mu = Measure(2, density=(UniformGrid((-0.2, -0.2), 0.1, (5, 5)),
+                                 vals))
+        pt = np.zeros((1, 2))
+        r1, r2 = 0.15, 0.43039176219523206
+        tv = mu.total_variation()
+        assert mu.ball_masses(pt, r2, absolute=True)[0] > tv
+        assert mu.ball_masses(pt, r1, absolute=True)[0] / (np.pi * r1**2) \
+            >= tv / (np.pi * r2**2)
+        rg = RadiusGrid(np.array([r1, r2]))
+        got, _ = maximal_values_at(mu, pt, rg)
+        want, _ = unpruned_values_at(mu, pt, rg, "M")
+        assert np.array_equal(got, want)
+
+    def test_zero_measure_sweeps_nothing(self):
+        values, flags = maximal_values_at(Measure(2), np.ones((3, 2)), RG)
+        assert values.tolist() == [0.0] * 3 and not flags.any()

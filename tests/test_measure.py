@@ -94,6 +94,62 @@ class TestCurves:
         assert mu.singular_mass_ball((0.0, 0.0), 0.25) == pytest.approx(0.5)
 
 
+def _subset_cases():
+    rng = np.random.default_rng(11)
+    grid1 = UniformGrid((-1.3,), 1 / 7, (17,))
+    grid2 = UniformGrid((-0.9, -0.4), 0.13, (11, 9))
+    return [
+        ("atoms-1d", Measure(1, atoms=tuple(
+            ((float(x),), float(w)) for x, w in
+            zip(rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6))))),
+        ("density-1d", Measure(1, density=(grid1, rng.uniform(-1, 2, 17)))),
+        ("density-2d", Measure(2, density=(grid2,
+                                           rng.uniform(-1, 2, (11, 9))))),
+        ("curves", Measure(2, curves=(
+            (rng.uniform(-1.5, 1.5, (4, 2)), 0.7),
+            (rng.uniform(-1.5, 1.5, (2, 2)), -1.9)))),
+    ]
+
+
+class TestBallMassesSubset:
+    """A point's ball mass must not depend on the other points queried with
+    it: the pruned maximal sweep queries only some nodes per radius."""
+
+    @pytest.mark.parametrize("name,mu", _subset_cases(),
+                             ids=[n for n, _ in _subset_cases()])
+    def test_subset_equals_full_rows(self, name, mu):
+        rng = np.random.default_rng(5)
+        d = mu.dimension
+        points = rng.uniform(-2.5, 2.5, (257, d))
+        for radii in (0.31, 1.7, rng.uniform(0.05, 3.0, len(points))):
+            for absolute in (False, True):
+                for closed in (False, True):
+                    full = mu.ball_masses(points, radii, absolute, closed)
+                    for size in (1, 7, 100):
+                        idx = np.sort(rng.choice(len(points), size, False))
+                        r = radii if np.isscalar(radii) else radii[idx]
+                        sub = mu.ball_masses(points[idx], r, absolute,
+                                             closed)
+                        assert np.array_equal(sub, full[idx])
+
+    def test_rows_keep_the_full_atom_product(self):
+        # a 2D atom row of mask @ w rounds by the rows around it, so the
+        # _rows path must select from the full product
+        rng = np.random.default_rng(8)
+        mu = Measure(2, atoms=tuple(
+            (tuple(p), float(w)) for p, w in
+            zip(rng.uniform(-1, 1, (40, 2)), rng.uniform(-2, 2, 40))),
+            density=(UniformGrid((-0.5, -0.5), 0.1, (8, 8)),
+                     rng.uniform(0, 1, (8, 8))))
+        points = rng.uniform(-2, 2, (300, 2))
+        full = mu.ball_masses(points, 0.8)
+        # row counts off a multiple of 4 reach the kernel's tail rows
+        for size in (1, 2, 3, 7, 31) * 4:
+            idx = np.sort(rng.choice(len(points), size, False))
+            assert np.array_equal(mu.ball_masses(points, 0.8, _rows=idx),
+                                  full[idx])
+
+
 class TestSupportAndSingular:
     def test_support_box_pads_density_cells(self):
         mu = box_density(0.0, 1.0, 10)

@@ -283,12 +283,27 @@ class TestCliArtifacts:
                        "--h", "0.002", "--expect", "bv_with_jumps")
         assert code == 3
 
-    @pytest.mark.parametrize("name", ["tent", "step"])
-    def test_sobolev_artifacts_match_committed_runs(self, tmp_path, name):
-        assert run_cli("sobolev", "--input", str(SPECS / f"{name}.json"),
-                       "--out", str(tmp_path)) == 0
-        committed = SPECS.parent / "runs" / f"{name}-A"
-        for artifact in ("curve.csv", "curve.svg", "verdict.txt"):
+    # the cases of scripts/run_experiments.py: run, command, spec, expect
+    @pytest.mark.parametrize("run,argv", [
+        ("tent-A", ("sobolev", "tent.json", "W11")),
+        ("step-A", ("sobolev", "step.json", "bv-with-jumps")),
+        ("atom-M", ("distcurve", "unit_atom.json", "persists")),
+        ("chi-M", ("distcurve", "chi_density.json", "vanishes")),
+        ("cancel-Mbar", ("distcurve", "cancel_pair.json", "persists",
+                         "--variant", "Mbar")),
+        ("sign-decay", ("decay", "sign_field.json", "persists")),
+        ("tent-decay", ("decay", "tent_field.json", "vanishes")),
+    ], ids=["tent", "step", "atom-M", "chi-M", "cancel-Mbar", "sign-decay",
+            "tent-decay"])
+    def test_sobolev_artifacts_match_committed_runs(self, tmp_path, run,
+                                                    argv):
+        command, spec, expect, *extra = argv
+        assert run_cli(command, "--input", str(SPECS / spec), "--expect",
+                       expect, *extra, "--out", str(tmp_path)) == 0
+        committed = SPECS.parent / "runs" / run
+        artifacts = sorted(p.name for p in committed.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == artifacts
+        for artifact in artifacts:
             assert (tmp_path / artifact).read_bytes() == \
                 (committed / artifact).read_bytes(), artifact
 
