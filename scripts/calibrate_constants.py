@@ -21,11 +21,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path,
                     default=REPO / "calibration" / "constants.json")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--seed", type=int, default=None,
                     help="override MAXCHAR_SEED / the default seed")
     args = ap.parse_args()
-    rep = run_verify(threads=args.threads, seed=args.seed)
+    rep = run_verify(seed=args.seed)
     sys.stdout.write(rep.text)
     if not rep.passed:
         print("verification failed; constants not written", file=sys.stderr)

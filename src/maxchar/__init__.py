@@ -14,8 +14,8 @@ from .bv import (AnyVectorResult, BVFunction1D, ReversePoincareResult,
                  ramp_plateau_counterexample, reverse_poincare_check)
 from .decay import (DEFAULT_DELTAS, DecayReport, TimeField, decay_quantity,
                     decay_sweep, level_integral_slice)
-from .errors import (MaxcharError, ResolutionError, SignSmoothingError,
-                     SpecSchemaError, TruncationError, WindowTooSmallError)
+from .errors import (MaxcharError, ResolutionError, SpecSchemaError,
+                     TruncationError, WindowTooSmallError)
 from .geometry import Box, UniformGrid, ball_volume
 from .level_sets import (DECAYS, INCONCLUSIVE, PERSISTS, DistributionCurve,
                          ExperimentResult, LambdaGrid, TailVerdict,
@@ -36,7 +36,7 @@ __all__ = [
     "DecayReport", "DistributionCurve", "ExperimentResult", "GridFunction",
     "INCONCLUSIVE", "LambdaGrid", "MaximalField", "MaxcharError", "Measure",
     "PERSISTS", "RadiusGrid", "ResolutionError", "ReversePoincareResult",
-    "SignSmoothingError", "SpecSchemaError", "TailVerdict", "TimeField",
+    "SpecSchemaError", "TailVerdict", "TimeField",
     "TruncationError", "UniformGrid", "WindowTooSmallError",
     "any_vector_penalty_check", "ball_volume", "blowup_check",
     "decay_quantity", "decay_sweep", "derivative_measure",

@@ -65,7 +65,6 @@ class ExperimentConfig:
     threshold: Optional[float] = None
     expect: Optional[str] = None
     out: Optional[Path] = None
-    threads: int = 1
     corpus_size: Optional[int] = None
     seed: int = DEFAULT_SEED
 
@@ -74,8 +73,6 @@ class ExperimentConfig:
             val = getattr(self, name)
             if val is not None and not val > 0:
                 raise SpecSchemaError(f"{name} must be positive, got {val}")
-        if self.threads < 1:
-            raise SpecSchemaError("threads must be at least 1")
         if self.corpus_size is not None and self.corpus_size < 1:
             raise SpecSchemaError("corpus size must be at least 1")
         if self.input is not None and not Path(self.input).is_file():
@@ -84,18 +81,16 @@ class ExperimentConfig:
 
 _COMMAND_KEYS = {
     "distcurve": frozenset({"input", "variant", "tau", "h", "radii",
-                            "lambda_decades", "threshold", "expect", "out",
-                            "threads"}),
-    "sobolev": frozenset({"input", "variant", "h", "radii", "lambda_decades",
-                          "threshold", "expect", "out", "threads"}),
-    "decay": frozenset({"input", "h", "radii", "threshold", "expect", "out",
-                        "threads"}),
-    "verify": frozenset({"out", "threads", "corpus_size"}),
+                            "lambda_decades", "threshold", "expect", "out"}),
+    "sobolev": frozenset({"input", "h", "radii", "lambda_decades",
+                          "threshold", "expect", "out"}),
+    "decay": frozenset({"input", "h", "radii", "threshold", "expect", "out"}),
+    "verify": frozenset({"out", "corpus_size"}),
 }
 
 _PATH_KEYS = frozenset({"input", "out"})
 _STR_KEYS = frozenset({"variant", "expect"})
-_INT_KEYS = frozenset({"radii", "threads", "corpus_size"})
+_INT_KEYS = frozenset({"radii", "corpus_size"})
 
 
 def _coerce(name: str, value, path):
@@ -228,7 +223,7 @@ def _require_input(cfg: ExperimentConfig) -> Path:
 
 
 def _experiment_kwargs(cfg: ExperimentConfig) -> dict:
-    kwargs = {"threads": cfg.threads}
+    kwargs = {}
     if cfg.h is not None:
         kwargs["h"] = cfg.h
     if cfg.radii is not None:
@@ -285,7 +280,7 @@ def _cmd_sobolev(cfg: ExperimentConfig) -> int:
 
 def _cmd_decay(cfg: ExperimentConfig) -> int:
     tf = specio.load_timefield(_require_input(cfg))
-    kwargs = {"threads": cfg.threads}
+    kwargs = {}
     if cfg.h is not None:
         kwargs["h_background"] = cfg.h
     if cfg.radii is not None:
@@ -308,8 +303,7 @@ def _cmd_decay(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
-    rep = run_verify(corpus_size=cfg.corpus_size, threads=cfg.threads,
-                     seed=cfg.seed)
+    rep = run_verify(corpus_size=cfg.corpus_size, seed=cfg.seed)
     if cfg.out is not None:
         out = Path(cfg.out)
         specio.write_text(out / "report.txt", rep.text)
@@ -351,8 +345,6 @@ def _add_common(p, *, variants=None, spectral=True):
 def _add_output(p):
     p.add_argument("--out", type=Path, default=None,
                    help="directory for CSV/SVG/verdict artifacts")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker thread cap (default 1)")
     p.add_argument("--config", type=Path, default=None,
                    help="JSON config file; flags win on conflict")
 
@@ -373,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sobolev",
                        help="oscillation-field test for absolute continuity "
                             "of the derivative")
-    _add_common(p, variants=("A",))
+    _add_common(p)
 
     p = sub.add_parser("decay",
                        help="clipped decay sweep for a time-dependent "

@@ -12,7 +12,6 @@ with an explicit resolution guard in d=2.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -216,7 +215,7 @@ def _slice_field_2d(mu: Measure, center, radius: float, delta: float,
 
 
 def _prepare_slices(tf: TimeField, delta: float, h_bg: Optional[float],
-                    per_decade: int, threads: int):
+                    per_decade: int):
     d = tf.dimension
     if h_bg is None:
         h_bg = 2.0 * tf.ball_radius / (_BACKGROUND_CELLS if d == 1 else 128)
@@ -230,9 +229,6 @@ def _prepare_slices(tf: TimeField, delta: float, h_bg: Optional[float],
         return _slice_field_2d(mu, tf.ball_center, tf.ball_radius, delta,
                                h_bg, per_decade)
 
-    if threads > 1 and len(tf.slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, tf.slices))
     return [build(mu) for mu in tf.slices]
 
 
@@ -243,10 +239,10 @@ def _validate_delta(delta: float):
 
 def decay_quantity(tf: TimeField, delta: float,
                    h_background: Optional[float] = None,
-                   per_decade: int = 64, threads: int = 1) -> float:
+                   per_decade: int = 64) -> float:
     """Q(B; delta) by graded-mesh quadrature, exact time weighting."""
     _validate_delta(delta)
-    fields = _prepare_slices(tf, delta, h_background, per_decade, threads)
+    fields = _prepare_slices(tf, delta, h_background, per_decade)
     w = tf.time_weights()
     total = math.fsum(wi * f.clipped_integral(delta)
                       for wi, f in zip(w, fields) if f is not None)
@@ -278,7 +274,7 @@ class DecayReport:
 def decay_sweep(tf: TimeField, deltas: Sequence[float] = DEFAULT_DELTAS,
                 threshold: Optional[float] = None,
                 h_background: Optional[float] = None,
-                per_decade: int = 64, threads: int = 1) -> DecayReport:
+                per_decade: int = 64) -> DecayReport:
     """Q across a decreasing delta sequence, classified over the smallest
     decade.  Meshes are built once at the finest delta and reused; the
     clipped integrand only loosens at coarser delta, so the finest mesh
@@ -300,8 +296,7 @@ def decay_sweep(tf: TimeField, deltas: Sequence[float] = DEFAULT_DELTAS,
         qs = tuple(0.0 for _ in deltas)
         return DecayReport(deltas, qs, 0.0, 0.0, VANISHES, 0.0, 0.0,
                            float(threshold))
-    fields = _prepare_slices(tf, deltas[-1], h_background, per_decade,
-                             threads)
+    fields = _prepare_slices(tf, deltas[-1], h_background, per_decade)
     w = tf.time_weights()
     qs = []
     for delta in deltas:

@@ -34,7 +34,3 @@ class TruncationError(MaxcharError):
 
 class ResolutionError(MaxcharError):
     """Spatial or radius resolution cannot resolve the requested clip level."""
-
-
-class SignSmoothingError(MaxcharError):
-    """No smoothing scale in the search range meets the error-mass target."""

@@ -211,28 +211,6 @@ def segment_ball_chords_at(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
     return out
 
 
-def segment_box_overlap(a: np.ndarray, b: np.ndarray, box: Box) -> float:
-    """Arclength of segment [a, b] inside a closed box (Liang-Barsky clip)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    u = b - a
-    t0, t1 = 0.0, 1.0
-    for k in range(box.dimension):
-        if u[k] == 0.0:
-            if a[k] < box.lo[k] or a[k] > box.hi[k]:
-                return 0.0
-            continue
-        ta = (box.lo[k] - a[k]) / u[k]
-        tb = (box.hi[k] - a[k]) / u[k]
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 >= t1:
-            return 0.0
-    return (t1 - t0) * float(np.linalg.norm(u))
-
-
 def point_segment_distance(pts: np.ndarray, a: np.ndarray,
                            b: np.ndarray) -> np.ndarray:
     """Distance from each row of pts (n, d) to segment [a, b]."""

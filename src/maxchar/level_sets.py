@@ -12,7 +12,6 @@ on singular support.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -100,11 +99,6 @@ def superlevel_volume(field: MaximalField, lam: float):
     return volume, touches
 
 
-def superlevel_nodes(field: MaximalField, lam: float) -> np.ndarray:
-    """Boolean node mask of {field > lam}; the raw set behind the volume."""
-    return field.values > lam
-
-
 @dataclass(frozen=True)
 class DistributionCurve:
     lambdas: tuple
@@ -139,26 +133,15 @@ class DistributionCurve:
         return len(self.lambdas)
 
 
-def distribution_curve(field: MaximalField, lg: LambdaGrid,
-                       threads: int = 1) -> DistributionCurve:
+def distribution_curve(field: MaximalField,
+                       lg: LambdaGrid) -> DistributionCurve:
     """Sample lambda -> vol({field > lambda}) over the level grid."""
     if field.flagged_fraction > 0.5:
         raise TruncationError(
             f"{field.flagged_fraction:.0%} of nodes are below the resolved "
             "radius scale; refine the grid or shrink r_min")
     lam = np.asarray(lg.lambdas)
-
-    def run(idx: np.ndarray):
-        return [superlevel_volume(field, lam[i]) for i in idx]
-
-    order = np.arange(lam.size)
-    if threads > 1 and lam.size > 8:
-        chunks = np.array_split(order, min(threads, lam.size))
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(run, chunks))
-        results = [r for part in parts for r in part]
-    else:
-        results = run(order)
+    results = [superlevel_volume(field, level) for level in lam]
     volumes = tuple(r[0] for r in results)
     flags = tuple(r[1] for r in results)
     return DistributionCurve(lambdas=tuple(lam), volumes=volumes, flags=flags,
@@ -278,8 +261,7 @@ def distribution_experiment(mu: Measure, variant: str = "M",
                             lambda_decades: float = 2.0,
                             lam_max: Optional[float] = None,
                             threshold: Optional[float] = None,
-                            cushion: float = 1.05,
-                            threads: int = 1) -> ExperimentResult:
+                            cushion: float = 1.05) -> ExperimentResult:
     """Full pipeline measure -> field -> curve -> verdict.
 
     Default level range tops out where a superlevel component is still a
@@ -304,16 +286,14 @@ def distribution_experiment(mu: Measure, variant: str = "M",
                               radii_per_decade)
     fld = maximal_field(mu, grid, rg, variant, tau=tau)
     curve = distribution_curve(fld, LambdaGrid.geometric(lam_min, lam_max,
-                                                         48),
-                               threads=threads)
+                                                         48))
     thr = threshold if threshold is not None else 0.05 * total
     return ExperimentResult(fld, curve, tail_verdict(curve, thr))
 
 
 def sobolev_experiment(f, h: float = 1e-3, radii_per_decade: int = 48,
                        lambda_decades: float = 2.0,
-                       threshold: Optional[float] = None,
-                       threads: int = 1) -> ExperimentResult:
+                       threshold: Optional[float] = None) -> ExperimentResult:
     """Oscillation-field pipeline for a 1D function of bounded variation.
 
     The slope grid starts at 4h (single-cell balls see no variation of a
@@ -346,8 +326,7 @@ def sobolev_experiment(f, h: float = 1e-3, radii_per_decade: int = 48,
                               radii_per_decade)
     fld = oscillation_field(gf, rg)
     curve = distribution_curve(fld, LambdaGrid.geometric(lam_min, lam_max,
-                                                         48),
-                               threads=threads)
+                                                         48))
     thr = threshold if threshold is not None else max(0.05 * tv, 1e-12)
     return ExperimentResult(fld, curve, tail_verdict(curve, thr))
 

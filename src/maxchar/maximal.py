@@ -10,9 +10,12 @@ The supremum is discretized over a geometric radius grid augmented with
 event radii: for every evaluation point, the exact distances to each atom
 (evaluated as the closed-ball limit from above) and to each sharp density
 edge.  On purely atomic measures the augmented sweep attains the exact
-supremum for every point farther than r_min from the support; the result is
-always a lower bound of the true supremum and it is nondecreasing under
-radius-grid refinement.
+supremum for every point farther than r_min from the support, except for
+1D nodes whose event radius x + |x - a| rounds below the atom a: the closed
+ball then misses the atom and the value falls back to the next grid radius
+(up to 3.4 % low on a seeded unit atom).  The result is always a lower
+bound of the true supremum and it is nondecreasing under radius-grid
+refinement.
 
 The sweep runs the radii in increasing order and queries, at each radius,
 only the live nodes, whose ball can still raise their running supremum:
@@ -30,9 +33,7 @@ split once into maximal monotone runs; inside a run {v > m} is one
 contiguous block, so a window of W nodes costs O(runs * log n) instead of
 O(W).  A radius whose windows are at most 16 nodes per run wide scans them
 directly instead, which is cheaper there, and serves noisy input with many
-runs.  oscillation_field takes no thread count: a radius-chunked thread
-pool measured no gain, and with the run path a piecewise-affine input takes
-tens of milliseconds.
+runs.
 """
 
 from __future__ import annotations

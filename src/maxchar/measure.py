@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import SignSmoothingError
 from .geometry import (
     UNIT_BALL_VOLUME,
     Box,
@@ -27,7 +26,6 @@ from .geometry import (
     as_point,
     point_segment_distance,
     segment_ball_chords_at,
-    segment_box_overlap,
 )
 
 # A 1D density cell edge counts as a sharp feature when the value step across
@@ -335,22 +333,6 @@ class Measure:
     # ------------------------------------------------------------------
     # singular part
 
-    def singular_mass(self, window: Box) -> float:
-        """Total-variation mass of atoms and curves inside a closed box."""
-        if window.dimension != self.dimension:
-            raise ValueError("window dimension mismatch")
-        total = 0.0
-        if len(self._apos):
-            inside = window.contains_points(self._apos)
-            total += float(np.sum(np.abs(self._aw[inside])))
-        for pts, rho, _ in self._curve_data:
-            if rho == 0.0:
-                continue
-            for s in range(len(pts) - 1):
-                total += abs(rho) * segment_box_overlap(pts[s], pts[s + 1],
-                                                        window)
-        return total
-
     def singular_mass_ball(self, center, radius: float,
                            closed: bool = False) -> float:
         """Singular mass inside the ball around center (open by default)."""
@@ -506,15 +488,6 @@ class GridFunction:
             raise ValueError("non-finite samples")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_callable(cls, grid: UniformGrid, fn) -> "GridFunction":
-        pts = grid.points()
-        if grid.dimension == 1:
-            vals = np.asarray([fn(float(p[0])) for p in pts])
-        else:
-            vals = np.asarray([fn(tuple(p)) for p in pts])
-        return cls(grid, vals.reshape(grid.extents))
-
     def as_density_measure(self) -> Measure:
         """Reinterpret the samples as a cell-piecewise-constant density."""
         return Measure(self.grid.dimension, density=(self.grid, self.values))
@@ -522,226 +495,3 @@ class GridFunction:
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-
-# ----------------------------------------------------------------------
-# polar decomposition and Lipschitz sign smoothing
-
-
-@dataclass(frozen=True)
-class PolarDecomposition:
-    """mu = eta |mu|: the absolute measure plus the sign data on its support."""
-
-    base: Measure
-    atom_signs: np.ndarray
-    density_signs: Optional[np.ndarray]
-    curve_signs: tuple
-
-    def __post_init__(self):
-        if len(self.atom_signs) and np.any(np.abs(self.atom_signs) != 1.0):
-            raise ValueError("atom signs must be unit")
-        if self.density_signs is not None and \
-                np.any(np.abs(self.density_signs) > 1.0):
-            raise ValueError("density signs must lie in [-1, 1]")
-
-
-def polar_decomposition(mu: Measure) -> PolarDecomposition:
-    atom_signs = np.sign(mu._aw) if len(mu._aw) else np.empty(0)
-    density_signs = None
-    if mu.density is not None:
-        density_signs = np.sign(mu.density[1])
-    curve_signs = tuple(float(np.sign(rho)) for _, rho in mu.curves)
-    return PolarDecomposition(mu.absolute(), atom_signs, density_signs,
-                              curve_signs)
-
-
-class PolarMollifyResult(NamedTuple):
-    polar: PolarDecomposition
-    eta: GridFunction          # smoothed sign field on a sample grid
-    lipschitz_constant: float  # valid for every pair of sample nodes
-    error_measure: Measure     # |eta - eta_smoothed| |mu| on the support
-    scale: float               # kernel radius that met the target
-    error_mass: float          # achieved total of the error measure
-
-
-_MAX_SMOOTH_SOURCES = 1500
-
-
-def _support_samples(mu: Measure, spacing: float):
-    """(positions, masses, signs) sampling the support of |mu|."""
-    pos, mass, sign = [], [], []
-    for i in range(len(mu._aw)):
-        pos.append(mu._apos[i])
-        mass.append(abs(mu._aw[i]))
-        sign.append(math.copysign(1.0, mu._aw[i]))
-    cell_index = []
-    if mu.density is not None:
-        grid, values = mu.density
-        pts = grid.points()
-        flat = values.ravel()
-        nz = np.nonzero(flat)[0]
-        for i in nz:
-            pos.append(pts[i])
-            mass.append(abs(flat[i]) * grid.cell_volume)
-            sign.append(math.copysign(1.0, flat[i]))
-            cell_index.append(i)
-    curve_pieces = []
-    for ci, (pts, rho) in enumerate(mu.curves):
-        if rho == 0.0:
-            continue
-        for s in range(len(pts) - 1):
-            a, b = pts[s], pts[s + 1]
-            length = float(np.linalg.norm(b - a))
-            nsub = max(1, int(math.ceil(length / max(spacing, 1e-12))))
-            for j in range(nsub):
-                t0, t1 = j / nsub, (j + 1) / nsub
-                mid = a + 0.5 * (t0 + t1) * (b - a)
-                pos.append(mid)
-                mass.append(abs(rho) * length / nsub)
-                sign.append(math.copysign(1.0, rho))
-                curve_pieces.append((a + t0 * (b - a), a + t1 * (b - a), rho))
-    if not pos:
-        return (np.empty((0, mu.dimension)), np.empty(0), np.empty(0),
-                np.empty(0, dtype=int), [])
-    return (np.vstack([np.atleast_1d(p) for p in pos]).reshape(-1, mu.dimension),
-            np.asarray(mass), np.asarray(sign),
-            np.asarray(cell_index, dtype=int), curve_pieces)
-
-
-def _aggregate_sources(pos, mass, sign, cap=_MAX_SMOOTH_SOURCES):
-    """Thin dense supports so kernel sums stay affordable; preserves the
-    signed and absolute totals per aggregation bucket."""
-    n = len(mass)
-    if n <= cap:
-        return pos, mass * sign, mass
-    stride = int(math.ceil(n / cap))
-    signed, absolute, centers = [], [], []
-    for i in range(0, n, stride):
-        sl = slice(i, i + stride)
-        m = mass[sl]
-        s = sign[sl]
-        tot = float(np.sum(m))
-        if tot == 0.0:
-            continue
-        centers.append(np.average(pos[sl], axis=0, weights=m))
-        signed.append(float(np.sum(m * s)))
-        absolute.append(tot)
-    return (np.vstack(centers), np.asarray(signed), np.asarray(absolute))
-
-
-def _nw_smooth(targets, src_pos, src_signed, src_abs, sigma):
-    """Triangular-kernel weighted mean of the sign field at target points.
-
-    Returns (values, has_support) where has_support marks a positive kernel
-    denominator.
-    """
-    num = np.zeros(len(targets))
-    den = np.zeros(len(targets))
-    chunk = max(1, int(2e6 // max(1, len(src_pos))))
-    for i in range(0, len(targets), chunk):
-        T = targets[i:i + chunk]
-        dist = np.linalg.norm(T[:, None, :] - src_pos[None, :, :], axis=2)
-        K = np.maximum(0.0, 1.0 - dist / sigma)
-        num[i:i + chunk] = K @ src_signed
-        den[i:i + chunk] = K @ src_abs
-    ok = den > 0
-    vals = np.zeros(len(targets))
-    vals[ok] = num[ok] / den[ok]
-    return np.clip(vals, -1.0, 1.0), ok
-
-
-def polar_mollify(mu: Measure, eps_target: float,
-                  sample_spacing: Optional[float] = None,
-                  shrink: float = 2.0**0.25) -> PolarMollifyResult:
-    """Polar sign field of mu plus a Lipschitz smoothing of it.
-
-    Sweeps the kernel radius geometrically downward from the support
-    diameter and keeps the largest radius whose smoothed field eta_s
-    satisfies  sum_i m_i |eta_i - eta_s(p_i)| < eps_target  over the support
-    samples.  Raises SignSmoothingError when even the finest scale fails,
-    which signals sign oscillation at sample resolution.
-    """
-    if eps_target <= 0:
-        raise ValueError("eps_target must be positive")
-    polar = polar_decomposition(mu)
-    d = mu.dimension
-
-    box = mu.support_box()
-    if box is None:
-        grid = UniformGrid((0.0,) * d, 1.0, (1,) * d)
-        eta = GridFunction(grid, np.zeros((1,) * d))
-        return PolarMollifyResult(polar, eta, 0.0, Measure(d), 0.0, 0.0)
-
-    diam = max(box.diameter(), 1e-12)
-    if sample_spacing is None:
-        sample_spacing = diam / (256 if d == 1 else 128)
-    pos, mass, sign, cell_index, curve_pieces = _support_samples(
-        mu, sample_spacing)
-    src_pos, src_signed, src_abs = _aggregate_sources(pos, mass, sign)
-
-    pad = 0.25 * diam + sample_spacing
-    grid = UniformGrid.cover_cells(
-        tuple(c - pad for c in box.lo), tuple(c + pad for c in box.hi),
-        sample_spacing)
-
-    sigma = max(diam, 8.0 * sample_spacing)
-    sigma_min = sample_spacing
-    chosen = None
-    while True:
-        smoothed, _ = _nw_smooth(pos, src_pos, src_signed, src_abs, sigma)
-        err = float(np.sum(mass * np.abs(sign - smoothed)))
-        if err < eps_target:
-            chosen = (sigma, smoothed, err)
-            break
-        if sigma <= sigma_min:
-            break
-        sigma = max(sigma_min, sigma / shrink)
-    if chosen is None:
-        raise SignSmoothingError(
-            f"no smoothing scale in [{sigma_min:g}, {diam:g}] reaches "
-            f"error mass {eps_target:g}; sign oscillates at sample resolution")
-    sigma, smoothed_support, err = chosen
-
-    nodes = grid.points()
-    vals, ok = _nw_smooth(nodes, src_pos, src_signed, src_abs, sigma)
-    if not np.all(ok) and np.any(ok):
-        # kernel support misses some nodes: extend by nearest support sample
-        missing = np.nonzero(~ok)[0]
-        chunk = max(1, int(2e6 // max(1, len(pos))))
-        for i in range(0, len(missing), chunk):
-            idx = missing[i:i + chunk]
-            D = np.linalg.norm(nodes[idx][:, None, :] - pos[None, :, :], axis=2)
-            vals[idx] = smoothed_support[np.argmin(D, axis=1)]
-    eta = GridFunction(grid, vals.reshape(grid.extents))
-
-    vgrid = eta.values
-    slopes = [0.0]
-    if grid.extents[0] > 1:
-        slopes.append(float(np.max(np.abs(np.diff(vgrid, axis=0)))))
-    if d == 2 and grid.extents[1] > 1:
-        slopes.append(float(np.max(np.abs(np.diff(vgrid, axis=1)))))
-    lipschitz = math.sqrt(d) * max(slopes) / grid.spacing
-
-    # error measure shares the support structure of |mu|
-    pointwise = np.abs(sign - smoothed_support)
-    n_atoms = len(mu._aw)
-    atoms = []
-    for i in range(n_atoms):
-        w = mass[i] * pointwise[i]
-        if w > 0.0:
-            atoms.append((tuple(mu._apos[i]), w))
-    density = None
-    if mu.density is not None:
-        gridd, values = mu.density
-        dv = np.zeros(values.size)
-        k0 = n_atoms
-        dv[cell_index] = np.abs(values.ravel()[cell_index]) * \
-            pointwise[k0:k0 + len(cell_index)]
-        density = (gridd, dv.reshape(gridd.extents))
-    curves = []
-    k0 = n_atoms + len(cell_index)
-    for j, (a, b, rho) in enumerate(curve_pieces):
-        w = abs(rho) * pointwise[k0 + j]
-        if w > 0.0:
-            curves.append((np.vstack([a, b]), w))
-    nu = Measure(d, tuple(atoms), density, tuple(curves))
-    return PolarMollifyResult(polar, eta, lipschitz, nu, sigma, err)

@@ -58,7 +58,7 @@ def _size(corpus_size: Optional[int], full: int) -> int:
 # individual checks; each returns (passed, details, constants)
 
 
-def _check_atom_normalization(seed, corpus_size, threads):
+def _check_atom_normalization(seed, corpus_size):
     mu = unit_atom(0.0)
     grid = UniformGrid.cover_cells([-2.0], [2.0], 1e-3)
     fld = maximal_field(mu, grid, RadiusGrid.geometric(1e-3, 4.0, 64), "M")
@@ -69,7 +69,7 @@ def _check_atom_normalization(seed, corpus_size, threads):
         "weak11_sup_atom": weak11_constant(curve, 1.0)}
 
 
-def _check_multi_atom_mass(seed, corpus_size, threads):
+def _check_multi_atom_mass(seed, corpus_size):
     worst = 0.0
     c_low = math.inf
     c_up = 0.0
@@ -80,8 +80,7 @@ def _check_multi_atom_mass(seed, corpus_size, threads):
         # when the mass sits in one cluster.  These atoms are far apart, so
         # each superlevel component is carried by a single unit atom and the
         # resolved regime ends at 1/(2*5h) = 100 regardless of k.
-        res = distribution_experiment(mu, "M", h=1e-3, lam_max=100.0,
-                                      threads=threads)
+        res = distribution_experiment(mu, "M", h=1e-3, lam_max=100.0)
         rel = abs(res.verdict.tail_last - k) / k
         worst = max(worst, rel)
         c_low = min(c_low, res.verdict.tail_min / k)
@@ -105,7 +104,7 @@ def _chi_product_law(lam: float) -> float:
     return 1.0 - lam if lam <= 0.5 else lam
 
 
-def _check_ac_decay(seed, corpus_size, threads):
+def _check_ac_decay(seed, corpus_size):
     chi = corpus.chi_unit_density()
     grid = evaluation_grid(chi, 0.05, 1e-3)
     rg = RadiusGrid.geometric(1e-3, 1.2 * grid.cell_box().diameter(), 64)
@@ -125,9 +124,9 @@ def _check_ac_decay(seed, corpus_size, threads):
         "weak11_sup_chi": weak11_constant(curve, 1.0)}
 
 
-def _check_signed_cancellation(seed, corpus_size, threads):
+def _check_signed_cancellation(seed, corpus_size):
     dip = Measure(1, atoms=(((-1.0,), 1.0), ((1.0,), -1.0)))
-    res = distribution_experiment(dip, "Mbar", h=1e-3, threads=threads)
+    res = distribution_experiment(dip, "Mbar", h=1e-3)
     rg = RadiusGrid.geometric(1e-3, 10.0, 64)
     at0_bar = maximal_point(dip, (0.0,), rg, "Mbar")
     at0_full = maximal_point(dip, (0.0,), rg, "M")
@@ -141,11 +140,11 @@ def _check_signed_cancellation(seed, corpus_size, threads):
         / dip.total_variation()}
 
 
-def _check_sobolev_verdicts(seed, corpus_size, threads):
+def _check_sobolev_verdicts(seed, corpus_size):
     tent = BVFunction1D((-1.0, 0.0, 1.0), (1.0, -1.0))
     chi = BVFunction1D(jumps=((0.0, 1.0), (1.0, -1.0)))
-    res_t = sobolev_experiment(tent, h=1e-3, threads=threads)
-    res_c = sobolev_experiment(chi, h=1e-3, threads=threads)
+    res_t = sobolev_experiment(tent, h=1e-3)
+    res_c = sobolev_experiment(chi, h=1e-3)
     tent_max = float(res_t.field.values.max())
     jump_mass = chi.jump_variation()
     plateau = res_c.verdict.tail_min / jump_mass
@@ -158,7 +157,7 @@ def _check_sobolev_verdicts(seed, corpus_size, threads):
         "oscillation_jump_plateau": plateau}
 
 
-def _check_ramp_counterexample(seed, corpus_size, threads):
+def _check_ramp_counterexample(seed, corpus_size):
     for n in (1, 4, 16, 64):
         f = ramp_plateau_counterexample(n)
         mean = f.integral(-1.0, 1.0) / 2.0
@@ -180,7 +179,7 @@ _POINCARE_PAIRS = ((0.0, 0.5), (0.0, 1.0), (0.3, 0.7), (-0.5, 0.25),
                    (-0.2, 1.2), (2.0, 1.0))
 
 
-def _check_penalized_poincare(seed, corpus_size, threads):
+def _check_penalized_poincare(seed, corpus_size):
     entries = corpus.bv_corpus()
     entries = entries[:_size(corpus_size, len(entries))]
     min_ratio = math.inf
@@ -217,7 +216,7 @@ def _semigroup_draws(rng, n_draws, dimension):
     return results
 
 
-def _check_semigroup(seed, corpus_size, threads):
+def _check_semigroup(seed, corpus_size):
     rng = _rng(seed, 8)
     per_dim = 250 if corpus_size is None else max(20, 12 * corpus_size)
     results = _semigroup_draws(rng, per_dim, 1)
@@ -231,7 +230,7 @@ def _check_semigroup(seed, corpus_size, threads):
         "semigroup_max_ratio": worst}
 
 
-def _check_reverse_weak11(seed, corpus_size, threads):
+def _check_reverse_weak11(seed, corpus_size):
     grid = UniformGrid.cover_cells([0.0], [1.0], 1e-3)
     res = reverse_weak11_check(GridFunction(grid, np.ones(1000)), t=0.5,
                                big_c=1.0, c_emp=0.1)
@@ -253,7 +252,7 @@ def _check_reverse_weak11(seed, corpus_size, threads):
         "reverse_weak11_c": c_measured}
 
 
-def _check_stopped_scale(seed, corpus_size, threads):
+def _check_stopped_scale(seed, corpus_size):
     rng = _rng(seed, 10)
     n_measures = 20 if corpus_size is None else max(4, corpus_size)
     compared = 0
@@ -276,14 +275,14 @@ def _check_stopped_scale(seed, corpus_size, threads):
     return True, f"identical_node_sets={compared}", {}
 
 
-def _check_decay(seed, corpus_size, threads):
+def _check_decay(seed, corpus_size):
     entries = corpus.flow_corpus()
     entries = entries[:_size(corpus_size, len(entries))]
     c1 = math.inf
     c2 = 0.0
     reports = {}
     for name, tf, expected in entries:
-        rep = decay_sweep(tf, threads=threads)
+        rep = decay_sweep(tf)
         reports[name] = rep
         if rep.verdict != expected:
             return False, f"{name} verdict={rep.verdict}", {}
@@ -323,7 +322,7 @@ def _check_decay(seed, corpus_size, threads):
     return True, " ".join(details), consts
 
 
-def _check_determinism(seed, corpus_size, threads):
+def _check_determinism(seed, corpus_size):
     first = _semigroup_draws(_rng(seed, 8), 20, 1)
     second = _semigroup_draws(_rng(seed, 8), 20, 1)
     same = all(a.avg == b.avg and a.bound == b.bound
@@ -352,7 +351,7 @@ _CHECKS = (
 )
 
 
-def run_verify(corpus_size: Optional[int] = None, threads: int = 1,
+def run_verify(corpus_size: Optional[int] = None,
                seed: Optional[int] = None) -> VerifyReport:
     if corpus_size is not None and corpus_size < 1:
         raise ValueError("corpus size must be at least 1")
@@ -362,7 +361,7 @@ def run_verify(corpus_size: Optional[int] = None, threads: int = 1,
     constants = {}
     for idx, (name, fn) in enumerate(_CHECKS, start=1):
         try:
-            passed, details, consts = fn(seed, corpus_size, threads)
+            passed, details, consts = fn(seed, corpus_size)
         except MaxcharError as e:
             passed, details, consts = False, f"error: {e}", {}
         results.append(CheckResult(name, passed, details))

@@ -115,7 +115,7 @@ def test_c07_penalized_lower_bound_constant():
     assert len(corpus.bv_corpus()) >= 20
     assert len(verify._POINCARE_PAIRS) == 10
     passed, details, consts = verify._check_penalized_poincare(
-        DEFAULT_SEED, None, 1)
+        DEFAULT_SEED, None)
     assert passed, details
     c1 = consts["penalized_poincare_c1"]
     assert c1 >= 1e-3
@@ -125,7 +125,7 @@ def test_c07_penalized_lower_bound_constant():
 
 
 def test_c08_semigroup_bound_500_draws():
-    passed, details, consts = verify._check_semigroup(DEFAULT_SEED, None, 1)
+    passed, details, consts = verify._check_semigroup(DEFAULT_SEED, None)
     assert passed, details
     assert "draws=500 failures=0" in details
     assert consts["semigroup_max_ratio"] <= 1.0 + 1e-6
@@ -138,13 +138,13 @@ def test_c09_reverse_weak_bound():
     assert res.rhs == pytest.approx(1.0, abs=1e-12)
     assert res.lhs == pytest.approx(0.5, rel=0.02)
     passed, details, consts = verify._check_reverse_weak11(
-        DEFAULT_SEED, None, 1)
+        DEFAULT_SEED, None)
     assert passed, details
     assert consts["reverse_weak11_c"] >= 0.1
 
 
 def test_c10_stopped_scale_set_identity():
-    passed, details, _ = verify._check_stopped_scale(DEFAULT_SEED, None, 1)
+    passed, details, _ = verify._check_stopped_scale(DEFAULT_SEED, None)
     assert passed, details
     # 20 measures x 2 cutoffs x 13 levels, all exact node-set matches
     assert "identical_node_sets=520" in details

@@ -151,15 +151,6 @@ class TestDecaySweep:
         assert rep.q_values[2] == pytest.approx(
             0.5 * (1.0 + 1.0 / (3.0 * LN10)), rel=3e-3)
 
-    def test_threads_match_serial(self):
-        mu = Measure(1, atoms=(((0.0,), 2.0),))
-        tf = TimeField(times=(0.25, 0.75), slices=(mu, mu * 0.5),
-                       ball_center=[0.5], ball_radius=0.5)
-        deltas = (1e-1, 1e-2, 1e-3, 1e-4)
-        a = decay_sweep(tf, deltas, threads=1)
-        b = decay_sweep(tf, deltas, threads=3)
-        assert a.q_values == b.q_values
-
     def test_validation(self):
         with pytest.raises(ValueError, match="decreasing"):
             decay_sweep(sign_field(), (1e-3, 1e-2, 1e-1, 1e-4))

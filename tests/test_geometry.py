@@ -5,7 +5,7 @@ import pytest
 
 from maxchar.geometry import (Box, UniformGrid, as_point, ball_volume,
                               point_segment_distance, segment_ball_chord,
-                              segment_ball_chords_at, segment_box_overlap)
+                              segment_ball_chords_at)
 
 
 def test_ball_volume_closed_forms():
@@ -113,14 +113,6 @@ class TestSegmentGeometry:
         for i in range(3):
             single = segment_ball_chord(a, b, centers[i], radii[i])[0]
             assert multi[i] == pytest.approx(single)
-
-    def test_segment_box_overlap(self):
-        box = Box((0.0, 0.0), (1.0, 1.0))
-        diag = segment_box_overlap(np.array([-1.0, -1.0]),
-                                   np.array([2.0, 2.0]), box)
-        assert diag == pytest.approx(math.sqrt(2.0))
-        assert segment_box_overlap(np.array([2.0, 0.0]),
-                                   np.array([3.0, 1.0]), box) == 0.0
 
     def test_point_segment_distance(self):
         a = np.array([0.0, 0.0])

@@ -22,7 +22,6 @@ from maxchar.level_sets import (
     reverse_weak11_check,
     semigroup_check,
     sobolev_experiment,
-    superlevel_nodes,
     superlevel_volume,
     tail_verdict,
     weak11_constant,
@@ -103,13 +102,6 @@ class TestSuperlevelVolume:
         _, touches_low = superlevel_volume(fld, 0.05)
         assert touches_low
 
-    def test_node_mask(self):
-        fld = atom_field(h=0.01, half_width=0.5, per_decade=16)
-        mask = superlevel_nodes(fld, 1.0)
-        xs = fld.grid.axis(0)
-        np.testing.assert_array_equal(mask, np.asarray(fld.values) > 1.0)
-        assert np.all(np.abs(xs[mask]) < 0.5)
-
 
 class TestDistributionCurve:
     def test_products(self):
@@ -139,14 +131,6 @@ class TestDistributionCurve:
         assert fld.flagged_fraction == 1.0
         with pytest.raises(TruncationError):
             distribution_curve(fld, LambdaGrid.geometric(0.1, 10.0))
-
-    def test_threads_match_serial(self):
-        fld = atom_field(h=5e-3, half_width=1.0, per_decade=32)
-        lg = LambdaGrid.geometric(0.6, 60.0, 24)
-        a = distribution_curve(fld, lg, threads=1)
-        b = distribution_curve(fld, lg, threads=3)
-        assert a.volumes == b.volumes
-        assert a.flags == b.flags
 
 
 class TestTailVerdict:

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from maxchar.geometry import Box, UniformGrid
-from maxchar.measure import (GridFunction, Measure, polar_decomposition,
-                             polar_mollify, unit_atom)
+from maxchar.geometry import UniformGrid
+from maxchar.measure import GridFunction, Measure, unit_atom
 
 
 def box_density(lo, hi, cells, value=1.0):
@@ -160,11 +159,6 @@ class TestSupportAndSingular:
     def test_support_box_none_for_zero(self):
         assert Measure(1).support_box() is None
 
-    def test_singular_mass_window(self):
-        mu = Measure(1, atoms=(((0.0,), 1.0), ((5.0,), -2.0)))
-        assert mu.singular_mass(Box((-1.0,), (1.0,))) == 1.0
-        assert mu.singular_mass(Box((-1.0,), (6.0,))) == 3.0
-
     def test_singular_support_distance(self):
         mu = Measure(1, atoms=(((0.0,), 1.0),))
         d = mu.singular_support_distance(np.array([[0.5], [-2.0]]))
@@ -216,8 +210,7 @@ class TestRestriction:
 class TestGridFunction:
     def test_from_callable_and_density(self):
         grid = UniformGrid.cover_cells([0.0], [1.0], 0.25)
-        f = GridFunction.from_callable(grid, lambda x: 2.0 * x)
-        assert np.allclose(f.values, 2.0 * grid.axis(0))
+        f = GridFunction(grid, 2.0 * grid.axis(0))
         mu = f.as_density_measure()
         assert mu.total_mass() == pytest.approx(0.25 * float(np.sum(f.values)))
 
@@ -226,23 +219,3 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(grid, np.array([1.0, float("nan")]))
 
-
-class TestPolar:
-    def test_decomposition_signs(self):
-        mu = Measure(1, atoms=(((0.0,), -2.0), ((1.0,), 1.0)))
-        pol = polar_decomposition(mu)
-        assert pol.base.total_mass() == 3.0
-        assert sorted(pol.atom_signs.tolist()) == [-1.0, 1.0]
-
-    def test_mollify_single_sign_is_exact(self):
-        mu = Measure(1, atoms=(((-1.0,), 1.0), ((1.0,), 2.0)))
-        res = polar_mollify(mu, eps_target=1e-6)
-        assert res.error_mass < 1e-6
-        assert np.all(np.abs(res.eta.values - 1.0) < 1e-9)
-
-    def test_mollify_mixed_signs_reports_error_measure(self):
-        mu = Measure(1, atoms=(((-1.0,), 1.0), ((1.0,), -1.0)))
-        res = polar_mollify(mu, eps_target=0.5)
-        assert res.error_mass < 0.5
-        assert res.scale > 0
-        assert math.isfinite(res.lipschitz_constant)

@@ -232,6 +232,27 @@ class TestCliExitCodes:
             assert run_cli(*argv) == 1, argv
             assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,config", [
+        (("distcurve", "unit_atom.json", "--threads", "2"), None),
+        (("distcurve", "unit_atom.json"),
+         '{\n  "h": 0.005,\n  "threads": 2\n}\n'),
+        (("sobolev", "tent.json", "--variant", "A"), None),
+    ], ids=["threads-flag", "threads-config", "sobolev-variant"])
+    def test_removed_knobs_fail_cleanly(self, tmp_path, argv, config):
+        command, spec, *extra = argv
+        args = [command, "--input", str(SPECS / spec), *extra]
+        expected = "unrecognized arguments: " + " ".join(extra)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+            expected = (f"{cfg}:3: config key 'threads' is not recognized "
+                        f"for {command}")
+        proc = subprocess.run([sys.executable, "-m", "maxchar", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {expected}\n"
+
     def test_overflowing_weights_fail_without_warnings(self, tmp_path):
         p = tmp_path / "huge.json"
         p.write_text(json.dumps({"dimension": 1, "atoms": [
@@ -259,7 +280,7 @@ class TestCliArtifacts:
                 "--h", "0.005", "--radii", "32")
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli(*args, "--out", str(out1)) == 0
-        assert run_cli(*args, "--out", str(out2), "--threads", "2") == 0
+        assert run_cli(*args, "--out", str(out2)) == 0
         for name in ("curve.csv", "verdict.txt", "curve.svg"):
             a = (out1 / name).read_bytes()
             b = (out2 / name).read_bytes()
@@ -363,6 +384,16 @@ class TestCliVerify:
         assert constants == json.loads((out2 / "constants.json").read_text())
         assert all(isinstance(v, (int, float)) for v in constants.values())
         assert "seed=20260814" in capsys.readouterr().out
+
+    def test_verify_matches_committed_run(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MAXCHAR_SEED", raising=False)
+        assert run_cli("verify", "--out", str(tmp_path)) == 0
+        committed = SPECS.parent / "runs" / "verify"
+        for name in ("report.txt", "constants.json"):
+            assert (tmp_path / name).read_bytes() == \
+                (committed / name).read_bytes(), name
+        assert (tmp_path / "constants.json").read_bytes() == \
+            (SPECS.parent / "calibration" / "constants.json").read_bytes()
 
     def test_bad_seed_env(self, monkeypatch, capsys):
         monkeypatch.setenv("MAXCHAR_SEED", "not-a-number")
