@@ -1,4 +1,4 @@
-"""Radius-sweep evaluation of the maximal operators and the oscillation field.
+"""Maximal operators of measures and the oscillation field.
 
 Variants:
   M     sup_r |mu|(B(x,r)) / (omega_d r^d)
@@ -6,26 +6,31 @@ Variants:
   Mtau  as M but restricted to radii r < tau
   A     sup_r (1/r) avg_{B(x,r)} |f - mean_{B(x,r)} f|   (on grid functions)
 
-The supremum is discretized over a geometric radius grid augmented with
-event radii: for every evaluation point, the exact distances to each atom
-(evaluated as the closed-ball limit from above) and to each sharp density
-edge.  On purely atomic measures the augmented sweep attains the exact
-supremum for every point farther than r_min from the support, except for
-1D nodes whose event radius x + |x - a| rounds below the atom a: the closed
-ball then misses the atom and the value falls back to the next grid radius
-(up to 3.4 % low on a seeded unit atom).  The result is always a lower
-bound of the true supremum and it is nondecreasing under radius-grid
-refinement.
+r runs over [r_min, r_max] of a radius grid.  On a purely atomic measure
+the ball mass is constant between consecutive atom distances, so the sup
+is the open ball at r_min or the closed ball at an atom distance (the limit
+from above).  Such a measure takes its values from these event radii
+alone: each node's atom distances are sorted once, the (signed) weights
+summed in that order and read at the last atom of each tie group.  The
+values are exact to rounding, with membership decided by the computed
+distances, never by rounded positions x +- r.
+
+A measure with a density or a curve runs a sweep over the geometric radius
+grid, augmented with event radii: the exact distances to each atom (as the
+closed-ball limit) and to each sharp density edge.  Its result is a lower
+bound of the true supremum, nondecreasing under radius-grid refinement.
+For 1D atoms mixed with a density the closed ball at x + |x - a| can round
+below the atom a and miss it, and the value then falls back to the next
+grid radius.
 
 The sweep runs the radii in increasing order and queries, at each radius,
 only the live nodes, whose ball can still raise their running supremum:
 the ball must reach the support box, and the running value must lie below
 |mu| / (omega_d r^d), which bounds every ratio at that radius for all
 three variants.  Both tests carry a relative slack of 1e-9 against
-rounding, and every mass term that is not elementwise per node is still
-computed over all nodes, so the values are bit for bit those of the full
-sweep.  In 1D a radius where most nodes are live queries all of them,
-which is cheaper there and gives the same bits.
+rounding, and every mass term is computed node by node, so the values are
+bit for bit those of the full sweep.  In 1D a radius where most nodes are
+live queries all of them, which is cheaper there and gives the same bits.
 
 The 1D oscillation field takes every window mean from one prefix sum and
 the deviation from sum |v - m| = 2 sum_{v > m} (v - m).  The samples are
@@ -147,12 +152,57 @@ def _support_gap(mu: Measure, points: np.ndarray) -> np.ndarray:
                                       0.0), axis=1)
 
 
+# the event path takes nodes in row blocks of at most this many node-atom
+# distances, so its memory does not grow with the node count
+_EVENT_BLOCK = 1 << 16
+
+
+def _atomic_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
+                   signed: bool, tau: Optional[float]) -> np.ndarray:
+    """Exact sup over r in [r_min, r_max] (r < tau when tau is given) of a
+    purely atomic measure's ball ratios.
+
+    The ball mass is constant between consecutive atom distances, so the
+    sup is the open ball at r_min or the closed ball at an atom distance.
+    Each node's distances are sorted once and the (signed) weights summed
+    in that order; a closed ball is read at the last atom of its tie group.
+    """
+    d = mu.dimension
+    omega = UNIT_BALL_VOLUME[d]
+    apos = mu._apos
+    w = mu._aw if signed else np.abs(mu._aw)
+    r_min = rg.radii[0]
+    best = np.empty(len(points))
+    rows = max(1, _EVENT_BLOCK // len(apos))
+    for b in range(0, len(points), rows):
+        p = points[b:b + rows]
+        if d == 1:
+            dist = np.abs(p[:, :1] - apos[None, :, 0])
+        else:
+            dist = np.linalg.norm(p[:, None, :] - apos[None, :, :], axis=2)
+        order = np.argsort(dist, axis=1, kind="stable")
+        dist = np.take_along_axis(dist, order, axis=1)
+        mass = np.abs(np.cumsum(w[order], axis=1))
+        # the open ball at r_min holds the atoms closer than r_min
+        inner = np.count_nonzero(dist < r_min, axis=1)
+        at_min = np.where(inner > 0, mass[np.arange(len(p)), inner - 1], 0.0)
+        last = np.ones(dist.shape, dtype=bool)
+        last[:, :-1] = dist[:, 1:] != dist[:, :-1]
+        ok = last & (dist > 0) & (dist >= r_min)
+        ok &= dist < tau if tau is not None else dist <= rg.r_max
+        ratio = np.divide(mass, omega * dist**d, out=np.zeros_like(mass),
+                          where=ok)
+        best[b:b + rows] = np.maximum(at_min / (omega * r_min**d),
+                                      ratio.max(axis=1))
+    return best
+
+
 def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
                       variant: str = "M", tau: Optional[float] = None):
     """Maximal values at arbitrary points; returns (values, flags).
 
     flags marks points within r_min of the singular support, where the
-    truncated sweep cannot chase the blow-up.
+    truncated sup cannot chase the blow-up.
     """
     if variant not in ("M", "Mbar", "Mtau"):
         raise ValueError(f"not a measure variant: {variant!r}")
@@ -166,7 +216,12 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
         if tau is None or not (rg.r_min < tau <= rg.r_max):
             raise ValueError("Mtau needs tau in (r_min, r_max]")
         radii = radii[radii < tau]
+    else:
+        tau = None
     signed = variant == "Mbar"
+    flags = mu.singular_support_distance(points) < rg.r_min
+    if len(mu._apos) and mu.density is None and not mu.curves:
+        return _atomic_values(mu, points, rg, signed, tau), flags
 
     atom_dist = None
     if d == 2 and len(mu._apos):
@@ -205,7 +260,7 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
     # density edges (open), both capped by the sweep truncation range
     def apply_events(dist, closed):
         ok = (dist > 0) & (dist >= rg.r_min)
-        if variant == "Mtau":
+        if tau is not None:
             ok &= dist < tau
         else:
             ok &= dist <= rg.r_max
@@ -226,8 +281,6 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
         apply_events(dist, closed=True)
     for e in mu.density_sharp_edges():
         apply_events(np.abs(points[:, 0] - e), closed=False)
-
-    flags = mu.singular_support_distance(points) < rg.r_min
     return best, flags
 
 
@@ -243,12 +296,14 @@ def maximal_field(mu: Measure, eval_grid: UniformGrid, rg: RadiusGrid,
                   ) -> MaximalField:
     """Node-wise maximal values over an evaluation grid.
 
-    Complexity O(live pairs * query) plus, for 2D atoms, O(nodes * atoms)
-    per radius: a node-radius pair is live while the ball reaches the
-    support box and |mu| / (omega_d r^d) exceeds the node's running value
-    (see the module docstring).  Atomic queries cost O(log k) in 1D via
-    sorted prefix sums, density queries O(1) amortized per row via
-    cumulative sums.
+    A purely atomic measure costs O(nodes * k log k) for k atoms, from
+    event radii alone, and its values are exact.  Otherwise the sweep
+    costs O(live pairs * query) plus, for 2D atoms, O(nodes * atoms) per
+    radius: a node-radius pair is live while the ball reaches the support
+    box and |mu| / (omega_d r^d) exceeds the node's running value (see the
+    module docstring).  Atomic queries cost O(log k) in 1D via sorted
+    prefix sums, density queries O(1) amortized per row via cumulative
+    sums.
     """
     if eval_grid.dimension != mu.dimension:
         raise ValueError("grid dimension mismatch")

@@ -253,9 +253,10 @@ class Measure:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         radii = np.broadcast_to(np.asarray(radii, dtype=float),
                                 (len(points),))
-        all_points, all_radii = points, radii
         if _rows is not None:
             points, radii = points[_rows], radii[_rows]
+            if _atom_dist is not None:
+                _atom_dist = _atom_dist[_rows]
         out = np.zeros(len(points))
         up_side, lo_side = _SIDES_CLOSED if closed else _SIDES_OPEN
 
@@ -267,19 +268,15 @@ class Measure:
                 lo = np.searchsorted(self._apos1, x - radii, side=lo_side)
                 out += cum[hi] - cum[lo]
             else:
-                # BLAS rounds a row of mask @ w differently depending on
-                # which other rows it receives, so this term always runs
-                # over all points and _rows picks from the result
                 D = _atom_dist
                 if D is None:
                     D = np.linalg.norm(
-                        all_points[:, None, :] - self._apos[None, :, :],
-                        axis=2)
-                r = all_radii[:, None]
+                        points[:, None, :] - self._apos[None, :, :], axis=2)
+                r = radii[:, None]
                 mask = D <= r if closed else D < r
                 w = np.abs(self._aw) if absolute else self._aw
-                mass = mask @ w
-                out += mass if _rows is None else mass[_rows]
+                # einsum, not mask @ w, as for curve chords
+                out += np.einsum("ij,j->i", mask, w)
 
         if self.density is not None:
             if self.dimension == 1:

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxchar import corpus, decay, maximal
 from maxchar.errors import WindowTooSmallError
 from maxchar.geometry import UNIT_BALL_VOLUME, UniformGrid
 from maxchar.maximal import (RadiusGrid, _monotone_runs,
@@ -279,12 +282,13 @@ _weight = st.floats(min_value=0.05, max_value=3.0).flatmap(
 @st.composite
 def mixed_measures(draw):
     """Signed atoms, a signed density with zero cells at its rim and, in
-    2D, signed polylines."""
+    2D, signed polylines; never purely atomic, since only a density or a
+    curve puts a measure on the radius sweep."""
     d = draw(st.sampled_from([1, 2]))
     locs = draw(st.lists(st.tuples(*[_coord] * d), max_size=4, unique=True))
     atoms = tuple((loc, draw(_weight)) for loc in locs)
     density = None
-    if draw(st.booleans()):
+    if d == 1 or draw(st.booleans()):
         extents = tuple(draw(st.integers(1, 12)) for _ in range(d))
         # non-dyadic origins and spacings, so that cell edges and the
         # support box round apart
@@ -301,7 +305,8 @@ def mixed_measures(draw):
             (np.array(pts), draw(_weight))
             for pts in draw(st.lists(
                 st.lists(st.tuples(_coord, _coord), min_size=2, max_size=3,
-                         unique=True), max_size=2)))
+                         unique=True), min_size=density is None,
+                max_size=2)))
     return Measure(d, atoms=atoms, density=density, curves=curves)
 
 
@@ -354,18 +359,15 @@ class TestPrunedSweep:
             assert np.array_equal(got[1], want[1]), variant
 
     def test_measure_2d_cases_match_unpruned_sweep(self):
-        # the 2D shapes of the benchmark, shrunk: a density square, the
-        # square plus an atom (full-row atom product) and an atom cluster
-        rng = np.random.default_rng(3)
+        # the swept 2D shapes of the benchmark, shrunk: a density square
+        # and the square plus an atom (the atom cluster takes the event
+        # path, TestAtomicEvents)
         grid = UniformGrid((0.05, 0.05), 0.1, (10, 10))
         square = Measure(2, density=(grid, np.ones((10, 10))))
-        cluster = Measure(2, atoms=tuple(
-            (tuple(p), w) for p, w in zip(rng.uniform(0.0, 0.05, (12, 2)),
-                                         rng.uniform(0.5, 2.0, 12))))
         nodes = UniformGrid.cover_cells([-0.5, -0.5], [1.5, 1.5],
                                         0.05).points()
         rg = RadiusGrid.geometric(0.05, 2.5, 32)
-        for mu in (square, square + unit_atom((0.3, 0.6), 2), cluster):
+        for mu in (square, square + unit_atom((0.3, 0.6), 2)):
             for variant in ("M", "Mbar"):
                 got = maximal_values_at(mu, nodes, rg, variant)
                 want = unpruned_values_at(mu, nodes, rg, variant)
@@ -407,3 +409,215 @@ class TestPrunedSweep:
     def test_zero_measure_sweeps_nothing(self):
         values, flags = maximal_values_at(Measure(2), np.ones((3, 2)), RG)
         assert values.tolist() == [0.0] * 3 and not flags.any()
+
+
+# ----------------------------------------------------------------------
+# the event path of purely atomic measures against the exact sup
+
+
+def _atom_distances(mu, x, rounded):
+    """Distances from x to the atoms: as the event path computes them, or
+    exact (squared in 2D)."""
+    if rounded:
+        diff = mu._apos - np.asarray(x, dtype=float)
+        return (np.abs(diff[:, 0]) if mu.dimension == 1
+                else np.linalg.norm(diff, axis=1)).tolist()
+    return [abs(Fraction(p[0]) - Fraction(x[0])) if mu.dimension == 1
+            else sum((Fraction(a) - Fraction(c)) ** 2 for a, c in zip(p, x))
+            for p in mu._apos.tolist()]
+
+
+def exact_atomic_sup(mu, x, rg, variant, tau=None, rounded=True):
+    """sup over r in [r_min, r_max] (r < tau for Mtau) of the ball ratio in
+    exact arithmetic: the open ball at r_min and the closed ball at every
+    atom distance in range.  The distances are those the event path
+    computes, or with rounded=False the exact ones."""
+    d = mu.dimension
+    # compare powers of the distances: exact squares in 2D
+    power = 1 if rounded else d
+    dist = [Fraction(r) ** power for r in _atom_distances(mu, x, rounded)]
+    weights = [Fraction(w if variant == "Mbar" else abs(w))
+               for w in mu._aw.tolist()]
+    lo, hi = Fraction(rg.r_min) ** power, Fraction(rg.r_max) ** power
+    top = Fraction(tau) ** power if variant == "Mtau" else None
+    balls = [(lo, False)]
+    for r in set(dist):
+        if 0 < r and lo <= r and (r < top if top is not None else r <= hi):
+            balls.append((r, True))
+    best = Fraction(0)
+    for r, closed in balls:
+        mass = sum((w for w, dw in zip(weights, dist)
+                    if (dw <= r if closed else dw < r)), Fraction(0))
+        best = max(best, abs(mass) / (Fraction(UNIT_BALL_VOLUME[d])
+                                      * r ** (d // power)))
+    return best
+
+
+def rounding_decides(mu, x, rg, tau):
+    """Whether rounding the distances changes which atoms a ball around x
+    holds: the computed distances tie or swap two atoms whose exact
+    distances differ, or put an atom on the other side of r_min, tau or
+    r_max.  The field jumps within a rounding of x there."""
+    comp = _atom_distances(mu, x, rounded=True)
+    exact = _atom_distances(mu, x, rounded=False)
+    power = 1 if mu.dimension == 1 else 2
+    for i, (ci, ei) in enumerate(zip(comp, exact)):
+        if any(np.sign(ci - cj) != np.sign(ei - ej)
+               for cj, ej in zip(comp[:i], exact[:i])):
+            return True
+        if any(np.sign(ci - r) != np.sign(ei - Fraction(r) ** power)
+               for r in (rg.r_min, tau, rg.r_max)):
+            return True
+    return False
+
+
+_dyadic = st.integers(-16, 16).map(lambda k: k / 8)
+_dyadic_weight = st.integers(1, 12).map(lambda k: k / 4).flatmap(
+    lambda w: st.sampled_from([w, -w]))
+
+
+@st.composite
+def atomic_measures(draw):
+    """Signed atoms at dyadic or free locations with dyadic or free
+    weights, plus symmetric pairs of opposite weight about dyadic centres."""
+    d = draw(st.sampled_from([1, 2]))
+    coord = st.one_of(_dyadic, _coord)
+    atoms = {loc: draw(st.one_of(_weight, _dyadic_weight))
+             for loc in draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                                      max_size=5, unique=True))}
+    for _ in range(draw(st.integers(0, 2))):
+        centre = np.array(draw(st.tuples(*[_dyadic] * d)))
+        offset = np.array(draw(st.tuples(*[_dyadic] * d)))
+        w = draw(st.one_of(_weight, _dyadic_weight))
+        pair = (tuple(centre + offset), tuple(centre - offset))
+        if pair[0] != pair[1] and not set(pair) & set(atoms):
+            atoms.update({pair[0]: w, pair[1]: -w})
+    return Measure(d, atoms=tuple(atoms.items()))
+
+
+@st.composite
+def radius_grids(draw):
+    """(grid, tau): a random geometric grid, or dyadic r_min, tau and r_max
+    that dyadic atoms and nodes hit exactly."""
+    if draw(st.booleans()):
+        rg = RadiusGrid.geometric(
+            draw(st.floats(min_value=0.005, max_value=0.2)),
+            draw(st.floats(min_value=1.0, max_value=6.0)),
+            draw(st.integers(min_value=4, max_value=24)))
+        return rg, float(rg.radii[len(rg.radii) // 2])
+    r_min = draw(st.sampled_from([1 / 16, 1 / 8, 1 / 4]))
+    r_max = draw(st.sampled_from([2.0, 3.0, 4.0]))
+    tau = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    radii = np.geomspace(r_min, r_max, draw(st.integers(4, 24)))
+    return RadiusGrid(np.unique(np.append(radii, tau))), tau
+
+
+def event_nodes(mu, rg, tau, free):
+    """Free points, the atoms themselves, dyadic points (ties between
+    dyadic atoms) and points at r_min, tau, r_max or a grid radius from
+    each atom, along the axes and, in 2D, along (0.6, 0.8)."""
+    d = mu.dimension
+    pts = [np.asarray(free, dtype=float).reshape(-1, d), mu._apos,
+           np.arange(-8, 9).reshape(-1, 1) / 4 * np.ones((1, d))]
+    for r in (rg.r_min, tau, rg.r_max, rg.radii[len(rg.radii) // 3]):
+        if d == 1:
+            steps = np.array([[r], [-r]])
+        else:
+            steps = np.array([[r, 0.0], [0.0, -r], [0.6 * r, 0.8 * r]])
+        pts.append((mu._apos[:, None, :] + steps[None]).reshape(-1, d))
+    return np.vstack(pts)
+
+
+class TestAtomicEvents:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(atomic_measures(), radius_grids(), st.data())
+    def test_matches_exact_sup_and_bounds_the_sweep(self, mu, grid, data):
+        rg, tau = grid
+        d = mu.dimension
+        free = data.draw(st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * d),
+                                  max_size=8))
+        points = event_nodes(mu, rg, tau, free)
+        for variant in ("M", "Mbar", "Mtau"):
+            got, flags = maximal_values_at(mu, points, rg, variant, tau=tau)
+            sweep, sweep_flags = unpruned_values_at(mu, points, rg, variant,
+                                                    tau=tau)
+            assert np.array_equal(flags, sweep_flags), variant
+            for x, value, low in zip(points, got, sweep):
+                want = exact_atomic_sup(mu, x, rg, variant, tau)
+                assert abs(Fraction(value) - want) <= Fraction(1e-12) * want, \
+                    (variant, x)
+                # below the sweep only where the rounded distances hold
+                # other atoms than the exact ones, or where the sweep's
+                # rounded positions lift it above the exact sup
+                assert (value >= low * (1 - 1e-12)
+                        or rounding_decides(mu, x, rg, tau)
+                        or low > (1 + 1e-12) * exact_atomic_sup(
+                            mu, x, rg, variant, tau, rounded=False)), \
+                    (variant, x)
+
+    def test_cluster_matches_exact_sup(self):
+        # the measure-2d atom cluster, shrunk
+        rng = np.random.default_rng(3)
+        mu = Measure(2, atoms=tuple(
+            (tuple(p), w) for p, w in zip(rng.uniform(0.0, 0.05, (12, 2)),
+                                         rng.uniform(0.5, 2.0, 12))))
+        nodes = UniformGrid.cover_cells([-0.5, -0.5], [1.5, 1.5],
+                                        0.05).points()
+        rg = RadiusGrid.geometric(0.05, 2.5, 32)
+        for variant in ("M", "Mbar"):
+            got, flags = maximal_values_at(mu, nodes, rg, variant)
+            sweep, sweep_flags = unpruned_values_at(mu, nodes, rg, variant)
+            assert np.array_equal(flags, sweep_flags)
+            assert np.all(got >= sweep * (1 - 1e-12))
+            for i in range(0, len(nodes), 7):
+                want = exact_atomic_sup(mu, nodes[i], rg, variant)
+                assert abs(Fraction(got[i]) - want) <= \
+                    Fraction(1e-12) * want
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    def test_row_blocks_do_not_change_bits(self, monkeypatch, block):
+        rng = np.random.default_rng(4)
+        cases = [
+            (Measure(1, atoms=tuple(((float(x),), float(w)) for x, w in
+                                    zip(rng.uniform(-2, 2, 5),
+                                        rng.uniform(-2, 2, 5)))),
+             rng.uniform(-3, 3, (301, 1))),
+            (Measure(2, atoms=tuple((tuple(p), float(w)) for p, w in
+                                    zip(rng.uniform(-1, 1, (9, 2)),
+                                        rng.uniform(-2, 2, 9)))),
+             rng.uniform(-2, 2, (301, 2))),
+        ]
+        rg = RadiusGrid.geometric(0.01, 5.0, 24)
+        want = [maximal_values_at(mu, pts, rg, v, tau=0.5)
+                for mu, pts in cases for v in ("M", "Mbar", "Mtau")]
+        monkeypatch.setattr(maximal, "_EVENT_BLOCK", block)
+        got = [maximal_values_at(mu, pts, rg, v, tau=0.5)
+               for mu, pts in cases for v in ("M", "Mbar", "Mtau")]
+        for (gv, gf), (wv, wf) in zip(got, want):
+            assert np.array_equal(gv, wv) and np.array_equal(gf, wf)
+
+    def test_atom_pair_decay_nodes_closed_form(self):
+        # the graded nodes of the atom_pair decay slice: the closed ball at
+        # x + |x - a| used to round below a on some of them, so that M fell
+        # back to the next grid radius, up to 3.2 % low
+        tf = dict((name, tf) for name, tf, _ in
+                  corpus.flow_corpus())["atom_pair"]
+        mu = tf.slices[0]
+        delta = decay.DEFAULT_DELTAS[-1]
+        h_bg = 2.0 * tf.ball_radius / decay._BACKGROUND_CELLS
+        edges = decay._graded_edges_1d(-1.0, 1.0, mu, delta, h_bg)
+        x = 0.5 * (edges[:-1] + edges[1:])
+        rg = decay._radius_grid_for(mu, -1.0, 1.0, delta, h_bg, 64)
+        got = decay._slice_field_1d(mu, 0.0, 1.0, delta, h_bg, 64).values
+        a = mu._apos[:, 0]
+        dist = np.abs(x[:, None] - a[None, :])
+        # the positions x +- |x - a| miss a on some nodes
+        assert np.any((x[:, None] + dist < a) & (x[:, None] < a))
+        near, far = dist.min(axis=1), dist.max(axis=1)
+        assert rg.r_max > far.max()
+        # each unit atom at distance s alone gives 1 / (2 s); both, 2 / (2 s)
+        want = np.maximum(1.0 / (2.0 * near), 2.0 / (2.0 * far))
+        clear = near >= rg.r_min
+        assert clear.sum() > 0.9 * len(x)
+        np.testing.assert_allclose(got[clear], want[clear], rtol=1e-14,
+                                   atol=0.0)

@@ -101,6 +101,9 @@ def _subset_cases():
         ("atoms-1d", Measure(1, atoms=tuple(
             ((float(x),), float(w)) for x, w in
             zip(rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6))))),
+        ("atoms-2d", Measure(2, atoms=tuple(
+            (tuple(p), float(w)) for p, w in
+            zip(rng.uniform(-2, 2, (40, 2)), rng.uniform(-2, 2, 40))))),
         ("density-1d", Measure(1, density=(grid1, rng.uniform(-1, 2, 17)))),
         ("density-2d", Measure(2, density=(grid2,
                                            rng.uniform(-1, 2, (11, 9))))),
@@ -132,21 +135,26 @@ class TestBallMassesSubset:
                         assert np.array_equal(sub, full[idx])
 
     def test_rows_keep_the_full_atom_product(self):
-        # a 2D atom row of mask @ w rounds by the rows around it, so the
-        # _rows path must select from the full product
+        # the 2D atom term is summed row by row: a BLAS product mask @ w
+        # would round a row by the rows around it, differently at row
+        # counts off a multiple of 4, which reach the kernel's tail rows
         rng = np.random.default_rng(8)
-        mu = Measure(2, atoms=tuple(
-            (tuple(p), float(w)) for p, w in
-            zip(rng.uniform(-1, 1, (40, 2)), rng.uniform(-2, 2, 40))),
-            density=(UniformGrid((-0.5, -0.5), 0.1, (8, 8)),
-                     rng.uniform(0, 1, (8, 8))))
+        atoms = tuple((tuple(p), float(w)) for p, w in
+                      zip(rng.uniform(-1, 1, (40, 2)), rng.uniform(-2, 2, 40)))
+        mixed = Measure(2, atoms=atoms, density=(
+            UniformGrid((-0.5, -0.5), 0.1, (8, 8)), rng.uniform(0, 1, (8, 8))))
         points = rng.uniform(-2, 2, (300, 2))
-        full = mu.ball_masses(points, 0.8)
-        # row counts off a multiple of 4 reach the kernel's tail rows
-        for size in (1, 2, 3, 7, 31) * 4:
-            idx = np.sort(rng.choice(len(points), size, False))
-            assert np.array_equal(mu.ball_masses(points, 0.8, _rows=idx),
-                                  full[idx])
+        for mu in (Measure(2, atoms=atoms), mixed):
+            for closed in (False, True):
+                full = mu.ball_masses(points, 0.8, closed=closed)
+                for size in (1, 2, 3, 7, 31) * 4:
+                    idx = np.sort(rng.choice(len(points), size, False))
+                    assert np.array_equal(
+                        mu.ball_masses(points, 0.8, closed=closed, _rows=idx),
+                        full[idx])
+                    assert np.array_equal(
+                        mu.ball_masses(points[idx], 0.8, closed=closed),
+                        full[idx])
 
 
 class TestSupportAndSingular:
