@@ -312,10 +312,12 @@ class TestCliArtifacts:
         ("chi-M", ("distcurve", "chi_density.json", "vanishes")),
         ("cancel-Mbar", ("distcurve", "cancel_pair.json", "persists",
                          "--variant", "Mbar")),
+        ("square-M", ("distcurve", "square_2d.json", "persists",
+                      "--h", "0.025")),
         ("sign-decay", ("decay", "sign_field.json", "persists")),
         ("tent-decay", ("decay", "tent_field.json", "vanishes")),
-    ], ids=["tent", "step", "atom-M", "chi-M", "cancel-Mbar", "sign-decay",
-            "tent-decay"])
+    ], ids=["tent", "step", "atom-M", "chi-M", "cancel-Mbar", "square-M",
+            "sign-decay", "tent-decay"])
     def test_sobolev_artifacts_match_committed_runs(self, tmp_path, run,
                                                     argv):
         command, spec, expect, *extra = argv
