@@ -134,14 +134,6 @@ class UniformGrid:
         return Box(tuple(c - half for c in nb.lo), tuple(c + half for c in nb.hi))
 
     @classmethod
-    def span_nodes(cls, lo, hi, spacing: float) -> "UniformGrid":
-        """Grid whose nodes run from lo to hi inclusive (endpoints on nodes)."""
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        extents = tuple(int(round((b - a) / spacing)) + 1 for a, b in zip(lo, hi))
-        return cls(tuple(lo), spacing, extents)
-
-    @classmethod
     def cover_cells(cls, lo, hi, spacing: float) -> "UniformGrid":
         """Cell-centered grid covering [lo, hi]: first node at lo + h/2."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -149,36 +141,6 @@ class UniformGrid:
         extents = tuple(max(1, int(round((b - a) / spacing))) for a, b in zip(lo, hi))
         origin = tuple(a + 0.5 * spacing for a in lo)
         return cls(origin, spacing, extents)
-
-
-def segment_ball_chord(a: np.ndarray, b: np.ndarray, center: np.ndarray,
-                       r) -> np.ndarray:
-    """Length of segment [a, b] inside the ball of radius r around center.
-
-    All of a, b may be (m, d) stacks; center is a single point; r is a scalar
-    or an array broadcastable against the m segments.  Open versus closed
-    makes no difference to the length.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    center = np.asarray(center, dtype=float)
-    u = b - a
-    seg2 = np.einsum("ij,ij->i", u, u)
-    w = a - center
-    # |w + t u|^2 < r^2 as a quadratic in t
-    bq = 2.0 * np.einsum("ij,ij->i", w, u)
-    cq = np.einsum("ij,ij->i", w, w) - np.asarray(r, dtype=float) ** 2
-    disc = bq * bq - 4.0 * seg2 * cq
-    out = np.zeros(len(a))
-    ok = (disc > 0) & (seg2 > 0)
-    if np.any(ok):
-        sq = np.sqrt(disc[ok])
-        t0 = (-bq[ok] - sq) / (2.0 * seg2[ok])
-        t1 = (-bq[ok] + sq) / (2.0 * seg2[ok])
-        t0 = np.clip(t0, 0.0, 1.0)
-        t1 = np.clip(t1, 0.0, 1.0)
-        out[ok] = (t1 - t0) * np.sqrt(seg2[ok])
-    return out
 
 
 def segment_ball_chords_at(a: np.ndarray, b: np.ndarray, centers: np.ndarray,

@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import WindowTooSmallError
 from .geometry import UNIT_BALL_VOLUME, UniformGrid
-from .measure import GridFunction, Measure
+from .measure import _EVENT_BLOCK, GridFunction, Measure
 
 VARIANTS = ("M", "Mbar", "Mtau", "A")
 
@@ -97,9 +97,6 @@ class RadiusGrid:
         dense = np.geomspace(self.r_min, self.r_max,
                              (self.count - 1) * factor + 1)
         return RadiusGrid(np.unique(np.concatenate([self.radii, dense])))
-
-    def union(self, other: "RadiusGrid") -> "RadiusGrid":
-        return RadiusGrid(np.unique(np.concatenate([self.radii, other.radii])))
 
 
 @dataclass(frozen=True)
@@ -150,11 +147,6 @@ def _support_gap(mu: Measure, points: np.ndarray) -> np.ndarray:
     lo, hi = np.asarray(box.lo), np.asarray(box.hi)
     return np.linalg.norm(np.maximum(np.maximum(lo - points, points - hi),
                                       0.0), axis=1)
-
-
-# the event path takes nodes in row blocks of at most this many node-atom
-# distances, so its memory does not grow with the node count
-_EVENT_BLOCK = 1 << 16
 
 
 def _atomic_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,

@@ -33,6 +33,10 @@ from .geometry import (
 # feed the candidate-radius sets of the maximal operators.
 SHARP_EDGE_REL = 0.25
 
+# queries against every atom take points in row blocks of at most this many
+# point-atom distances, so their memory does not grow with the point count
+_EVENT_BLOCK = 1 << 16
+
 _SIDES_OPEN = ("left", "right")  # upper bound excluded, lower excluded
 _SIDES_CLOSED = ("right", "left")
 
@@ -298,25 +302,54 @@ class Measure:
         return out
 
     def _disk_density_mass(self, points, radii, absolute, closed):
-        grid, _ = self.density
+        """Center-in-ball mass, one cell row at a time: row i holds the
+        cells whose centers lie within the half-width sqrt(r^2 - dx^2) of
+        the point's y, two searchsorted lookups into its prefix sums.
+
+        Points with the same x and r share dx^2, the activity test and the
+        half-width, so the points are sorted by x and split into runs of
+        equal (x, r^2); that work is done once per run and repeated over
+        the run's points.  The per-point arithmetic and the row order of
+        the sums are those of a plain loop over points, so every mass is
+        bit for bit independent of the other points queried with it.
+        """
         cum = self._drow_cum_abs if absolute else self._drow_cum_signed
         c0, c1 = self._c0, self._c1
-        p0 = points[:, 0]
-        p1 = points[:, 1]
-        r2 = radii**2
-        out = np.zeros(len(points))
+        n = len(points)
+        order = np.argsort(points[:, 0], kind="stable")
+        x = points[order, 0]
+        y = points[order, 1]
+        r2 = radii[order] ** 2
+        new_run = np.ones(n, dtype=bool)
+        new_run[1:] = (x[1:] != x[:-1]) | (r2[1:] != r2[:-1])
+        starts = np.flatnonzero(new_run)
+        bounds = np.append(starts, n)
+        sizes = np.diff(bounds)
+        run_x, run_r2 = x[starts], r2[starts]
         up_side, lo_side = _SIDES_CLOSED if closed else _SIDES_OPEN
-        # loop over cell rows; vectorized over query points
-        for i in range(grid.extents[0]):
-            dx2 = (c0[i] - p0) ** 2
-            act = dx2 < r2
-            if not np.any(act):
+        out = np.zeros(n)
+        for i in range(len(c0)):
+            dx2 = (c0[i] - run_x) ** 2
+            act = dx2 < run_r2
+            runs = np.flatnonzero(act)
+            if runs.size == 0:
                 continue
-            half = np.sqrt(r2[act] - dx2[act])
-            hi = np.searchsorted(c1, p1[act] + half, side=up_side)
-            lo = np.searchsorted(c1, p1[act] - half, side=lo_side)
-            out[act] += cum[i][hi] - cum[i][lo]
-        return out
+            half = np.sqrt(run_r2[runs] - dx2[runs])
+            a, b = runs[0], runs[-1] + 1
+            if runs.size == b - a:
+                # consecutive runs, as a scalar r always gives: one slice
+                pts = slice(bounds[a], bounds[b])
+                hv = np.repeat(half, sizes[a:b])
+            else:
+                pts = np.repeat(act, sizes)
+                hv = np.repeat(half, sizes[runs])
+            q = y[pts]
+            hi = np.searchsorted(c1, q + hv, side=up_side)
+            lo = np.searchsorted(c1, q - hv, side=lo_side)
+            out[pts] += cum[i][hi] - cum[i][lo]
+        result = np.empty(n)
+        result[order] = out
+        return result
 
     def ball_mass(self, x, r: float, absolute: bool = False,
                   closed: bool = False) -> float:
@@ -352,10 +385,13 @@ class Measure:
         """Distance from each point to the nearest atom or curve (inf if none)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         best = np.full(len(points), np.inf)
-        if len(self._apos):
-            D = np.linalg.norm(points[:, None, :] - self._apos[None, :, :],
-                               axis=2)
-            best = np.minimum(best, D.min(axis=1))
+        apos = self._apos
+        if len(apos):
+            rows = max(1, _EVENT_BLOCK // len(apos))
+            for b in range(0, len(points), rows):
+                D = np.linalg.norm(points[b:b + rows, None, :] - apos[None],
+                                   axis=2)
+                best[b:b + rows] = D.min(axis=1)
         for pts, rho, _ in self._curve_data:
             if rho == 0.0:
                 continue

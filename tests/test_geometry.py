@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from maxchar.geometry import (Box, UniformGrid, as_point, ball_volume,
-                              point_segment_distance, segment_ball_chord,
-                              segment_ball_chords_at)
+                              point_segment_distance, segment_ball_chords_at)
 
 
 def test_ball_volume_closed_forms():
@@ -61,12 +60,6 @@ class TestUniformGrid:
         assert pts[2].tolist() == [0.0, 2.0]
         assert pts[3].tolist() == [1.0, 0.0]
 
-    def test_span_nodes_endpoints(self):
-        g = UniformGrid.span_nodes([-1.0], [1.0], 0.25)
-        ax = g.axis(0)
-        assert ax[0] == -1.0 and ax[-1] == 1.0
-        assert g.extents == (9,)
-
     def test_cover_cells_centers(self):
         g = UniformGrid.cover_cells([0.0], [1.0], 0.25)
         assert g.extents == (4,)
@@ -83,13 +76,19 @@ class TestUniformGrid:
             UniformGrid((0.0, 0.0), 1.0, (4,))
 
 
+def chord(a, b, center, r):
+    """Chord of segment [a, b] in one ball."""
+    return segment_ball_chords_at(a, b, np.asarray(center)[None, :],
+                                  np.array([r]))[0]
+
+
 class TestSegmentGeometry:
     def test_full_and_partial_chords(self):
         a = np.array([-1.0, 0.0])
         b = np.array([1.0, 0.0])
         c = np.array([0.0, 0.0])
-        assert segment_ball_chord(a, b, c, 2.0)[0] == pytest.approx(2.0)
-        assert segment_ball_chord(a, b, c, 0.5)[0] == pytest.approx(1.0)
+        assert chord(a, b, c, 2.0) == pytest.approx(2.0)
+        assert chord(a, b, c, 0.5) == pytest.approx(1.0)
 
     def test_offset_chord_closed_form(self):
         # horizontal segment against a ball centered 0.8 above it
@@ -97,12 +96,12 @@ class TestSegmentGeometry:
         b = np.array([2.0, 0.0])
         c = np.array([0.0, 0.8])
         expected = 2.0 * math.sqrt(1.0 - 0.64)
-        assert segment_ball_chord(a, b, c, 1.0)[0] == pytest.approx(expected)
+        assert chord(a, b, c, 1.0) == pytest.approx(expected)
 
     def test_disjoint_is_zero(self):
         a = np.array([-1.0, 0.0])
         b = np.array([1.0, 0.0])
-        assert segment_ball_chord(a, b, np.array([0.0, 2.0]), 1.0)[0] == 0.0
+        assert chord(a, b, np.array([0.0, 2.0]), 1.0) == 0.0
 
     def test_many_centers_matches_single(self):
         a = np.array([-1.0, -0.5])
@@ -111,8 +110,7 @@ class TestSegmentGeometry:
         radii = np.array([0.7, 1.1, 0.4])
         multi = segment_ball_chords_at(a, b, centers, radii)
         for i in range(3):
-            single = segment_ball_chord(a, b, centers[i], radii[i])[0]
-            assert multi[i] == pytest.approx(single)
+            assert multi[i] == chord(a, b, centers[i], radii[i])
 
     def test_point_segment_distance(self):
         a = np.array([0.0, 0.0])

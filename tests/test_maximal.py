@@ -28,11 +28,6 @@ class TestRadiusGrid:
         fine = rg.refined(3)
         assert set(rg.radii) <= set(fine.radii)
 
-    def test_union(self):
-        a = RadiusGrid(np.array([0.1, 1.0]))
-        b = RadiusGrid(np.array([0.5, 1.0, 2.0]))
-        assert a.union(b).radii.tolist() == [0.1, 0.5, 1.0, 2.0]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RadiusGrid(np.array([1.0]))

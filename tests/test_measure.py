@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from maxchar import measure
 from maxchar.geometry import UniformGrid
 from maxchar.measure import GridFunction, Measure, unit_atom
 
@@ -157,6 +159,88 @@ class TestBallMassesSubset:
                         full[idx])
 
 
+def _disk_row_loop(mu, points, radii, absolute, closed):
+    """The 2D center-in-ball density mass as a plain loop over cell rows,
+    vectorized over the points: the reference for the run kernel."""
+    cum = mu._drow_cum_abs if absolute else mu._drow_cum_signed
+    c0, c1 = mu._c0, mu._c1
+    p0, p1 = points[:, 0], points[:, 1]
+    r2 = radii**2
+    out = np.zeros(len(points))
+    up_side, lo_side = ("right", "left") if closed else ("left", "right")
+    for i in range(len(c0)):
+        dx2 = (c0[i] - p0) ** 2
+        act = dx2 < r2
+        if not np.any(act):
+            continue
+        half = np.sqrt(r2[act] - dx2[act])
+        hi = np.searchsorted(c1, p1[act] + half, side=up_side)
+        lo = np.searchsorted(c1, p1[act] - half, side=lo_side)
+        out[act] += cum[i][hi] - cum[i][lo]
+    return out
+
+
+@st.composite
+def disc_queries(draw):
+    """A signed 2D density with zero rims on a non-dyadic grid, and
+    unsorted query points that share x coordinates, some of them at a
+    cell-centre distance from a cell."""
+    extents = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    grid = UniformGrid((draw(st.integers(-200, 200)) / 101,
+                        draw(st.integers(-200, 200)) / 101),
+                       1.0 / draw(st.integers(3, 37)), extents)
+    values = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.7, -1.3, 2.0, 0.25]),
+        min_size=extents[0] * extents[1],
+        max_size=extents[0] * extents[1]))).reshape(extents)
+    values[[0, -1], :] = 0.0
+    values[:, [0, -1]] = 0.0
+    mu = Measure(2, density=(grid, values))
+    c0, c1 = mu._c0, mu._c1
+    lo = np.array(grid.cell_box().lo) - 0.5
+    hi = np.array(grid.cell_box().hi) + 0.5
+    # a few x values, each shared by several points, some on cell centres
+    xs = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(c0), st.floats(lo[0], hi[0])),
+        min_size=1, max_size=5)))
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = np.column_stack([rng.choice(xs, n), rng.uniform(lo[1], hi[1], n)])
+    if draw(st.booleans()):
+        points[:, 1] = rng.choice(c1, n)
+    scale = float(np.max(hi - lo))
+    kind = draw(st.sampled_from(["scalar", "per-point", "per-x", "centre"]))
+    if kind == "scalar":
+        radii = np.full(n, rng.uniform(0.01, scale))
+    elif kind == "per-point":
+        radii = rng.uniform(0.01, scale, n)
+    elif kind == "per-x":
+        # equal x with a few different radii, repeated
+        radii = rng.choice(rng.uniform(0.01, scale, 3), n)
+    else:
+        # the distance to a cell centre, along x or along y
+        i, j = rng.integers(len(c0), size=n), rng.integers(len(c1), size=n)
+        along_x = rng.random(n) < 0.5
+        points[~along_x, 0] = c0[i[~along_x]]
+        radii = np.where(along_x, np.abs(c0[i] - points[:, 0]),
+                         np.abs(c1[j] - points[:, 1]))
+        radii[radii == 0.0] = grid.spacing
+    return mu, points, radii
+
+
+class TestDiskDensityRuns:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(disc_queries())
+    def test_matches_row_loop_bit_for_bit(self, query):
+        mu, points, radii = query
+        for absolute in (False, True):
+            for closed in (False, True):
+                got = mu._disk_density_mass(points, radii, absolute, closed)
+                want = _disk_row_loop(mu, points, radii, absolute, closed)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+
 class TestSupportAndSingular:
     def test_support_box_pads_density_cells(self):
         mu = box_density(0.0, 1.0, 10)
@@ -173,6 +257,27 @@ class TestSupportAndSingular:
         assert np.allclose(d, [0.5, 2.0])
         assert np.isinf(box_density(0.0, 1.0, 4).singular_support_distance(
             np.array([[0.0]]))[0])
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    def test_row_blocks_do_not_change_bits(self, monkeypatch, block):
+        rng = np.random.default_rng(6)
+        seg = rng.uniform(-1, 1, (3, 2))
+        cases = [
+            (Measure(1, atoms=tuple(((float(x),), float(w)) for x, w in
+                                    zip(rng.uniform(-2, 2, 5),
+                                        rng.uniform(-2, 2, 5)))),
+             rng.uniform(-3, 3, (301, 1))),
+            (Measure(2, atoms=tuple((tuple(p), float(w)) for p, w in
+                                    zip(rng.uniform(-1, 1, (9, 2)),
+                                        rng.uniform(-2, 2, 9))),
+                     curves=((seg, 0.5),)),
+             rng.uniform(-2, 2, (301, 2))),
+        ]
+        want = [mu.singular_support_distance(pts) for mu, pts in cases]
+        monkeypatch.setattr(measure, "_EVENT_BLOCK", block)
+        got = [mu.singular_support_distance(pts) for mu, pts in cases]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestAlgebra:
