@@ -294,8 +294,10 @@ def maximal_field(mu: Measure, eval_grid: UniformGrid, rg: RadiusGrid,
     radius: a node-radius pair is live while the ball reaches the support
     box and |mu| / (omega_d r^d) exceeds the node's running value (see the
     module docstring).  Atomic queries cost O(log k) in 1D via sorted
-    prefix sums, density queries O(1) amortized per row via cumulative
-    sums.
+    prefix sums.  A 1D density query costs O(log cells) from cumulative
+    sums; a 2D one costs O(log cells) per cell row within r of the node,
+    two lookups in that row's prefix sums, with the row half-width shared
+    by the nodes of equal x and r.
     """
     if eval_grid.dimension != mu.dimension:
         raise ValueError("grid dimension mismatch")

@@ -309,9 +309,9 @@ class Measure:
         Points with the same x and r share dx^2, the activity test and the
         half-width, so the points are sorted by x and split into runs of
         equal (x, r^2); that work is done once per run and repeated over
-        the run's points.  The per-point arithmetic and the row order of
-        the sums are those of a plain loop over points, so every mass is
-        bit for bit independent of the other points queried with it.
+        the run's points.  Each point's arithmetic and the row order of its
+        sum do not depend on the runs, so every mass is bit for bit that of
+        a plain loop over rows and points, whatever else is queried with it.
         """
         cum = self._drow_cum_abs if absolute else self._drow_cum_signed
         c0, c1 = self._c0, self._c1
