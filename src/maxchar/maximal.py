@@ -15,22 +15,31 @@ summed in that order and read at the last atom of each tie group.  The
 values are exact to rounding, with membership decided by the computed
 distances, never by rounded positions x +- r.
 
-A measure with a density or a curve runs a sweep over the geometric radius
-grid, augmented with event radii: the exact distances to each atom (as the
-closed-ball limit) and to each sharp density edge.  Its result is a lower
-bound of the true supremum, nondecreasing under radius-grid refinement.
-For 1D atoms mixed with a density the closed ball at x + |x - a| can round
-below the atom a and miss it, and the value then falls back to the next
-grid radius.
+A measure with a density or a curve takes its event radii first: the
+exact distances to each atom (as the closed-ball limit) and to each sharp
+density edge.  A sweep over the geometric radius grid then raises these
+values.  The result is a lower bound of the true supremum, nondecreasing
+under radius-grid refinement.  For 1D atoms mixed with a density the
+closed ball at x + |x - a| can round below the atom a and miss it, and the
+value then falls back to the next grid radius.
 
 The sweep runs the radii in increasing order and queries, at each radius,
 only the live nodes, whose ball can still raise their running supremum:
 the ball must reach the support box, and the running value must lie below
 |mu| / (omega_d r^d), which bounds every ratio at that radius for all
-three variants.  Both tests carry a relative slack of 1e-9 against
-rounding, and every mass term is computed node by node, so the values are
-bit for bit those of the full sweep.  In 1D a radius where most nodes are
-live queries all of them, which is cheaper there and gives the same bits.
+three variants.  Since that bound falls with r, a node past it stays past
+it, and the sweep stops once every ball reaches the box and no node is
+live.  A 2D measure with a density also skips a live node at one radius
+when its running value reaches B / (omega_d r^d), where B bounds the
+absolute ball mass: the |atoms| closer than r, the |density| of the cells
+whose centres lie in the square [x +- r]^2 (from a summed-area table) and
+the |curve| total.  B is not monotone in r, so it skips that radius only
+and never stops the sweep.  Taking the event radii first lets both tests
+start from the atoms' values.  The tests carry a relative slack of 1e-9
+against rounding (B also 1e-9 |mu|), and every mass term is computed
+node by node, so the values are bit for bit those of the full sweep.  In
+1D a radius where most nodes are live queries all of them, which is
+cheaper there and gives the same bits.
 
 The 1D oscillation field takes every window mean from one prefix sum and
 the deviation from sum |v - m| = 2 sum_{v > m} (v - m).  The samples are
@@ -91,12 +100,6 @@ class RadiusGrid:
         decades = math.log10(r_max / r_min)
         count = max(2, int(math.ceil(per_decade * decades)) + 1)
         return cls(np.geomspace(r_min, r_max, count))
-
-    def refined(self, factor: int = 2) -> "RadiusGrid":
-        """Superset grid with (factor x) denser geometric sampling."""
-        dense = np.geomspace(self.r_min, self.r_max,
-                             (self.count - 1) * factor + 1)
-        return RadiusGrid(np.unique(np.concatenate([self.radii, dense])))
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,44 @@ def _atomic_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
     return best
 
 
+def _box_bound(mu: Measure, points: np.ndarray,
+               atom_dist: Optional[np.ndarray]):
+    """Return bound(r, rows): for each point p of points[rows], a bound B
+    of the absolute mass of the ball B(p, r) of a 2D measure with a
+    density.  With R = r (1 + _PRUNE_SLACK), B sums the |atoms| closer
+    than R, the |density| of every cell whose centre lies in the closed
+    square [p +- R]^2 and the |curve| total.
+
+    A cell that the centre-in-ball rule counts has its centre within the
+    rounded p +- R, so the square holds it; the square's mass is four
+    lookups in the summed-area table, with the row and column indices
+    found once per distinct x and y of the points.  B is exact to the
+    rounding of the table, which the caller's slack covers.
+    """
+    table = mu._dbox_abs
+    c0, c1 = mu._c0, mu._c1
+    ux, ix = np.unique(points[:, 0], return_inverse=True)
+    uy, iy = np.unique(points[:, 1], return_inverse=True)
+    w = np.abs(mu._aw)
+    curves = sum(abs(rho) * float(np.sum(lens))
+                 for _, rho, lens in mu._curve_data)
+
+    def bound(r, rows):
+        R = r * (1.0 + _PRUNE_SLACK)
+        x, y = ix[rows], iy[rows]
+        i0 = np.searchsorted(c0, ux - R, side="left")[x]
+        i1 = np.searchsorted(c0, ux + R, side="right")[x]
+        j0 = np.searchsorted(c1, uy - R, side="left")[y]
+        j1 = np.searchsorted(c1, uy + R, side="right")[y]
+        b = table[i1, j1] - table[i0, j1] - table[i1, j0] + table[i0, j0]
+        b += curves
+        if len(w):
+            b += np.einsum("ij,j->i", atom_dist[rows] < R, w)
+        return b
+
+    return bound
+
+
 def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
                       variant: str = "M", tau: Optional[float] = None):
     """Maximal values at arbitrary points; returns (values, flags).
@@ -219,37 +260,11 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
     if d == 2 and len(mu._apos):
         atom_dist = np.linalg.norm(
             points[:, None, :] - mu._apos[None, :, :], axis=2)
-
-    # pruned sweep: a ball farther than r from the support box holds no
-    # mass, and no ratio exceeds |mu| / (omega r^d), which falls with r
-    # while best rises, so a node past that bound stays past it
-    gap = _support_gap(mu, points)
-    reach = 1.0 + _PRUNE_SLACK
-    total = mu.total_variation() * reach
-    gap_max = gap.max(initial=0.0)
     best = np.zeros(n)
-    for r in radii:
-        vol = omega * r**d
-        live = (best < total / vol) & (gap < r * reach)
-        count = np.count_nonzero(live)
-        if count == 0:
-            if gap_max < r * reach:
-                break  # every ball reaches the support and no node is live
-            continue
-        # a 1D query is a few vectorized passes: over all nodes it costs
-        # less than gathering the live ones once most of them are live
-        rows = None if d == 1 and 2 * count > n else np.flatnonzero(live)
-        m = mu.ball_masses(points, float(r), absolute=not signed,
-                           closed=False, _atom_dist=atom_dist, _rows=rows)
-        if signed:
-            np.abs(m, out=m)
-        if rows is None:
-            np.maximum(best, m / vol, out=best)
-        else:
-            best[rows] = np.maximum(best[rows], m / vol)
 
-    # event radii: exact atom distances (closed-ball limit) and sharp
-    # density edges (open), both capped by the sweep truncation range
+    # event radii first, so that the sweep below starts from their values:
+    # exact atom distances (closed-ball limit) and sharp density edges
+    # (open), both capped by the sweep truncation range
     def apply_events(dist, closed):
         ok = (dist > 0) & (dist >= rg.r_min)
         if tau is not None:
@@ -273,6 +288,46 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
         apply_events(dist, closed=True)
     for e in mu.density_sharp_edges():
         apply_events(np.abs(points[:, 0] - e), closed=False)
+
+    # pruned sweep: a ball farther than r from the support box holds no
+    # mass, and no ratio exceeds |mu| / (omega r^d), which falls with r
+    # while best rises, so a node past that bound stays past it
+    gap = _support_gap(mu, points)
+    reach = 1.0 + _PRUNE_SLACK
+    total = mu.total_variation() * reach
+    gap_max = gap.max(initial=0.0)
+    box_bound = None
+    if d == 2 and mu.density is not None:
+        box_bound = _box_bound(mu, points, atom_dist)
+        slack = _PRUNE_SLACK * mu.total_variation()
+    for r in radii:
+        vol = omega * r**d
+        live = (best < total / vol) & (gap < r * reach)
+        count = np.count_nonzero(live)
+        if count == 0:
+            if gap_max < r * reach:
+                break  # every ball reaches the support and no node is live
+            continue
+        if box_bound is not None:
+            # the box bound is not monotone in r: it skips a node at this
+            # radius only, and the break above keeps the monotone test
+            rows = np.flatnonzero(live)
+            rows = rows[best[rows] < (box_bound(r, rows) * reach + slack)
+                        / vol]
+            if rows.size == 0:
+                continue
+        else:
+            # a 1D query is a few vectorized passes: over all nodes it
+            # costs less than gathering the live ones once most are live
+            rows = None if d == 1 and 2 * count > n else np.flatnonzero(live)
+        m = mu.ball_masses(points, float(r), absolute=not signed,
+                           closed=False, _atom_dist=atom_dist, _rows=rows)
+        if signed:
+            np.abs(m, out=m)
+        if rows is None:
+            np.maximum(best, m / vol, out=best)
+        else:
+            best[rows] = np.maximum(best[rows], m / vol)
     return best, flags
 
 
@@ -289,15 +344,18 @@ def maximal_field(mu: Measure, eval_grid: UniformGrid, rg: RadiusGrid,
     """Node-wise maximal values over an evaluation grid.
 
     A purely atomic measure costs O(nodes * k log k) for k atoms, from
-    event radii alone, and its values are exact.  Otherwise the sweep
-    costs O(live pairs * query) plus, for 2D atoms, O(nodes * atoms) per
-    radius: a node-radius pair is live while the ball reaches the support
-    box and |mu| / (omega_d r^d) exceeds the node's running value (see the
-    module docstring).  Atomic queries cost O(log k) in 1D via sorted
-    prefix sums.  A 1D density query costs O(log cells) from cumulative
-    sums; a 2D one costs O(log cells) per cell row within r of the node,
-    two lookups in that row's prefix sums, with the row half-width shared
-    by the nodes of equal x and r.
+    event radii alone, and its values are exact.  Otherwise the event
+    radii come first, O(nodes * (atoms + sharp edges)) queries, and the
+    sweep costs O(live pairs * query) plus, for 2D atoms, O(nodes * atoms)
+    per radius: a node-radius pair is live while the ball reaches the
+    support box and |mu| / (omega_d r^d) exceeds the node's running value;
+    with a 2D density, the box bound B / (omega_d r^d) must exceed it as
+    well, at O(1 + atoms) per live node plus O(log cells) per distinct x
+    and y (see the module docstring).  Atomic queries cost O(log k) in 1D
+    via sorted prefix sums.  A 1D density query costs O(log cells) from
+    cumulative sums; a 2D one costs O(log cells) per cell row within r of
+    the node, two lookups in that row's prefix sums, with the row
+    half-width shared by the nodes of equal x and r.
     """
     if eval_grid.dimension != mu.dimension:
         raise ValueError("grid dimension mismatch")

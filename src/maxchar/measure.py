@@ -164,6 +164,13 @@ class Measure:
                     np.concatenate(
                         [zero, np.cumsum(np.abs(values), axis=1) * cellv],
                         axis=1))
+                # summed-area table: _dbox_abs[i, j] is |values| * cellv
+                # summed over the cells [:i, :j]
+                object.__setattr__(
+                    self, "_dbox_abs",
+                    np.concatenate(
+                        [np.zeros((1, grid.extents[1] + 1)),
+                         np.cumsum(self._drow_cum_abs, axis=0)]))
                 object.__setattr__(self, "_sharp_edges",
                                    np.empty(0, dtype=float))
         else:

@@ -23,11 +23,6 @@ class TestRadiusGrid:
         assert rg.r_max == pytest.approx(10.0)
         assert rg.count == 21
 
-    def test_refined_is_superset(self):
-        rg = RadiusGrid.geometric(0.1, 1.0, 5)
-        fine = rg.refined(3)
-        assert set(rg.radii) <= set(fine.radii)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RadiusGrid(np.array([1.0]))
@@ -83,7 +78,10 @@ class TestMeasureVariants:
         mu = Measure(1, atoms=(((0.0,), 1.0), ((1.3,), 0.7)))
         pts = np.linspace(-2.0, 3.0, 23).reshape(-1, 1)
         coarse, _ = maximal_values_at(mu, pts, RG)
-        fine, _ = maximal_values_at(mu, pts, RG.refined(4))
+        # RG plus a four times denser geometric grid over the same range
+        fine_radii = np.geomspace(RG.r_min, RG.r_max, 4 * (RG.count - 1) + 1)
+        fine_rg = RadiusGrid(np.unique(np.concatenate([RG.radii, fine_radii])))
+        fine, _ = maximal_values_at(mu, pts, fine_rg)
         assert np.all(fine >= coarse - 1e-15)
 
     def test_window_must_cover_support(self):
@@ -404,6 +402,132 @@ class TestPrunedSweep:
     def test_zero_measure_sweeps_nothing(self):
         values, flags = maximal_values_at(Measure(2), np.ones((3, 2)), RG)
         assert values.tolist() == [0.0] * 3 and not flags.any()
+
+    @staticmethod
+    def count_disc_rows(monkeypatch):
+        """Record the number of points of every _disk_density_mass call."""
+        rows = []
+        disk = Measure._disk_density_mass
+
+        def counting(self, points, radii, absolute, closed):
+            rows.append(len(points))
+            return disk(self, points, radii, absolute, closed)
+
+        monkeypatch.setattr(Measure, "_disk_density_mass", counting)
+        return rows
+
+    def test_box_bound_queries_fewer_disc_rows(self, monkeypatch):
+        # the square-atom shape of the benchmark, shrunk: past the atom's
+        # event radius most nodes hold a value that no ball can beat
+        grid = UniformGrid((0.05, 0.05), 0.1, (10, 10))
+        mu = Measure(2, density=(grid, np.ones((10, 10)))) \
+            + unit_atom((0.3, 0.65), 2)
+        nodes = UniformGrid.cover_cells([-0.5, -0.5], [1.5, 1.5],
+                                        0.05).points()
+        rg = RadiusGrid.geometric(0.05, 2.5, 32)
+        rows = self.count_disc_rows(monkeypatch)
+        box_bound = maximal._box_bound
+
+        def no_box_bound(mu, points, atom_dist):
+            return lambda r, live: np.full(len(live), np.inf)
+
+        for variant in ("M", "Mbar"):
+            rows.clear()
+            got = maximal_values_at(mu, nodes, rg, variant)
+            with_bound = sum(rows)
+            monkeypatch.setattr(maximal, "_box_bound", no_box_bound)
+            rows.clear()
+            alone = maximal_values_at(mu, nodes, rg, variant)
+            monotone_only = sum(rows)
+            monkeypatch.setattr(maximal, "_box_bound", box_bound)
+            want = unpruned_values_at(mu, nodes, rg, variant)
+            for field in (got, alone):
+                assert np.array_equal(field[0], want[0])
+                assert np.array_equal(field[1], want[1])
+            assert with_bound < 0.5 * monotone_only, variant
+
+    def test_box_bound_skips_one_radius_only(self, monkeypatch):
+        # a light cell under the node and a heavy one 1.5 away: at r = 0.2
+        # the square around the node holds only the light cell, whose ratio
+        # the node already beats, so no node is queried; the heavy cell
+        # still lifts the value at r = 2
+        values = np.zeros((16, 1))
+        values[0, 0], values[15, 0] = 100.0, 2e5
+        mu = Measure(2, density=(UniformGrid((0.0, 0.0), 0.1, (16, 1)),
+                                 values))
+        nodes = np.array([[0.0, 0.0], [0.01, 0.0], [0.0, -0.02]])
+        rg = RadiusGrid(np.array([0.06, 0.2, 2.0]))
+        rows = self.count_disc_rows(monkeypatch)
+        for variant in ("M", "Mbar"):
+            rows.clear()
+            got, flags = maximal_values_at(mu, nodes, rg, variant)
+            assert rows == [3, 3], variant  # r = 0.06 and r = 2
+            want = unpruned_values_at(mu, nodes, rg, variant)
+            assert np.array_equal(got, want[0])
+            assert np.array_equal(flags, want[1])
+            assert got == pytest.approx(2001.0 / (np.pi * 4.0), rel=1e-12)
+
+
+_reach = 1.0 + maximal._PRUNE_SLACK
+
+
+@st.composite
+def density_measures_2d(draw):
+    """A signed 2D density with a zero rim on a non-dyadic grid, signed
+    atoms and signed polylines."""
+    inner = (draw(st.integers(1, 10)), draw(st.integers(1, 10)))
+    grid = UniformGrid(tuple(draw(st.integers(-200, 200)) / 101
+                             for _ in range(2)),
+                       1.0 / draw(st.integers(3, 97)),
+                       (inner[0] + 2, inner[1] + 2))
+    values = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.7, -1.3, 2.0, 0.25, -1e-3]),
+        min_size=inner[0] * inner[1], max_size=inner[0] * inner[1])))
+    density = (grid, np.pad(values.reshape(inner), 1))
+    locs = draw(st.lists(st.tuples(_coord, _coord), max_size=4, unique=True))
+    atoms = tuple((loc, draw(_weight)) for loc in locs)
+    # vertices on a 1/199 lattice: distinct ones are never a rounding apart
+    vertex = st.tuples(*[st.integers(-400, 400).map(lambda k: k / 199)] * 2)
+    curves = tuple(
+        (np.array(pts), draw(_weight))
+        for pts in draw(st.lists(st.lists(vertex, min_size=2, max_size=3,
+                                          unique=True), max_size=2)))
+    return Measure(2, atoms=atoms, density=density, curves=curves)
+
+
+class TestBoxBound:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(density_measures_2d(), st.data())
+    def test_bounds_the_computed_ball_mass(self, mu, data):
+        grid, _ = mu.density
+        h = grid.spacing
+        r = data.draw(st.one_of(st.floats(min_value=1e-3, max_value=3.0),
+                                st.integers(1, 8).map(lambda k: k * h)))
+        centres = grid.points()
+        picks = centres[data.draw(st.lists(
+            st.integers(0, len(centres) - 1), min_size=1, max_size=6))]
+        # points exactly r from a centre, along the axes and (0.6, 0.8)
+        steps = np.array([[r, 0.0], [-r, 0.0], [0.0, r], [0.0, -r],
+                          [0.6 * r, 0.8 * r]])
+        at_r = (picks[:, None, :] + steps[None]).reshape(-1, 2)
+        free = data.draw(st.lists(st.tuples(st.floats(-4.0, 4.0),
+                                            st.floats(-4.0, 4.0)),
+                                  max_size=8))
+        points = np.vstack([picks, at_r, np.nextafter(at_r, -np.inf),
+                            np.nextafter(at_r, np.inf),
+                            np.asarray(free, dtype=float).reshape(-1, 2)])
+        atom_dist = None
+        if len(mu._apos):
+            atom_dist = np.linalg.norm(
+                points[:, None, :] - mu._apos[None, :, :], axis=2)
+        rows = np.arange(len(points))
+        bound = maximal._box_bound(mu, points, atom_dist)(r, rows)
+        slack = maximal._PRUNE_SLACK * mu.total_variation()
+        for closed in (False, True):
+            for absolute in (True, False):
+                m = mu.ball_masses(points, r, absolute=absolute,
+                                   closed=closed, _atom_dist=atom_dist)
+                assert np.all(bound * _reach + slack >= np.abs(m))
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Property-based invariants across random measures and BV functions."""
 
 import json
-import math
 import os
 import tempfile
 
@@ -89,7 +88,10 @@ class TestMeasureInvariants:
     def test_radius_refinement_monotone(self, mu, xs):
         pts = np.asarray(xs).reshape(-1, 1)
         coarse, _ = maximal_values_at(mu, pts, RG, "M")
-        fine, _ = maximal_values_at(mu, pts, RG.refined(3), "M")
+        # RG plus a three times denser geometric grid over the same range
+        fine_radii = np.geomspace(RG.r_min, RG.r_max, 3 * (RG.count - 1) + 1)
+        fine_rg = RadiusGrid(np.unique(np.concatenate([RG.radii, fine_radii])))
+        fine, _ = maximal_values_at(mu, pts, fine_rg, "M")
         assert np.all(coarse <= fine + 1e-12 * (1.0 + np.abs(fine)))
 
     @RELAXED
@@ -179,11 +181,3 @@ class TestSpecRoundTrip:
         np.testing.assert_array_equal(back.value(pts), f.value(pts))
         assert back.total_variation() == f.total_variation()
 
-
-def test_radius_grid_refined_is_superset():
-    rg = RadiusGrid.geometric(0.1, 10.0, 8)
-    fine = rg.refined(2)
-    assert set(np.round(rg.radii, 15)).issubset(
-        set(np.round(fine.radii, 15)))
-    assert math.isclose(fine.r_min, rg.r_min)
-    assert math.isclose(fine.r_max, rg.r_max)
