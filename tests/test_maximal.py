@@ -468,9 +468,6 @@ class TestPrunedSweep:
             assert got == pytest.approx(2001.0 / (np.pi * 4.0), rel=1e-12)
 
 
-_reach = 1.0 + maximal._PRUNE_SLACK
-
-
 @st.composite
 def density_measures_2d(draw):
     """A signed 2D density with a zero rim on a non-dyadic grid, signed
@@ -522,12 +519,13 @@ class TestBoxBound:
                 points[:, None, :] - mu._apos[None, :, :], axis=2)
         rows = np.arange(len(points))
         bound = maximal._box_bound(mu, points, atom_dist)(r, rows)
-        slack = maximal._PRUNE_SLACK * mu.total_variation()
+        slack = maximal._PRUNE_SLACK
+        bound = bound * (1.0 + slack) + slack * mu.total_variation()
         for closed in (False, True):
             for absolute in (True, False):
                 m = mu.ball_masses(points, r, absolute=absolute,
                                    closed=closed, _atom_dist=atom_dist)
-                assert np.all(bound * _reach + slack >= np.abs(m))
+                assert np.all(bound >= np.abs(m))
 
 
 # ----------------------------------------------------------------------
