@@ -12,6 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from maxchar.errors import MaxcharError
 from maxchar.verify import constants_json, run_verify
 
 REPO = Path(__file__).resolve().parent.parent
@@ -24,7 +25,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=None,
                     help="override MAXCHAR_SEED / the default seed")
     args = ap.parse_args()
-    rep = run_verify(seed=args.seed)
+    try:
+        rep = run_verify(seed=args.seed)
+    except MaxcharError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     sys.stdout.write(rep.text)
     if not rep.passed:
         print("verification failed; constants not written", file=sys.stderr)

@@ -19,8 +19,8 @@ from .errors import (MaxcharError, ResolutionError, SpecSchemaError,
 from .geometry import Box, UniformGrid, ball_volume
 from .level_sets import (DECAYS, INCONCLUSIVE, PERSISTS, DistributionCurve,
                          ExperimentResult, LambdaGrid, TailVerdict,
-                         blowup_check, distribution_curve,
-                         distribution_experiment, evaluation_window,
+                         distribution_curve, distribution_experiment,
+                         evaluation_window,
                          reverse_weak11_check, semigroup_check,
                          sobolev_experiment, superlevel_volume, tail_verdict,
                          weak11_constant)
@@ -38,7 +38,7 @@ __all__ = [
     "PERSISTS", "RadiusGrid", "ResolutionError", "ReversePoincareResult",
     "SpecSchemaError", "TailVerdict", "TimeField",
     "TruncationError", "UniformGrid", "WindowTooSmallError",
-    "any_vector_penalty_check", "ball_volume", "blowup_check",
+    "any_vector_penalty_check", "ball_volume",
     "decay_quantity", "decay_sweep", "derivative_measure",
     "distribution_curve", "distribution_experiment", "evaluation_window",
     "level_integral_slice", "maximal_field", "maximal_point",

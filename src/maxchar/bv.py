@@ -197,6 +197,27 @@ class BVFunction1D:
 # inequality checks
 
 
+def _penalized_bound(f: BVFunction1D, x: float, r: float, c1: float,
+                     c2: float, penalty):
+    """(lhs, rhs, holds, oscillation, penalty) of
+
+        (1/r) int_{B(x, c2 r)} |f - mean| + penalty(x - c2 r, x + c2 r)
+            >=  c1 |Df|(B(x, r)) ?
+    """
+    if r <= 0:
+        raise ValueError("r must be positive")
+    if c2 < 1:
+        raise ValueError("c2 must be at least 1")
+    R = c2 * r
+    m = f.mean_ball(x, R)
+    osc = f.abs_deviation_integral(x - R, x + R, m) / r
+    pen = penalty(x - R, x + R)
+    lhs = osc + pen
+    rhs = f.tv_open(x - r, x + r)
+    holds = lhs >= c1 * rhs - _EPS * (1.0 + abs(lhs) + abs(rhs))
+    return lhs, rhs, holds, osc, pen
+
+
 class ReversePoincareResult(NamedTuple):
     lhs: float
     rhs: float
@@ -214,18 +235,8 @@ def reverse_poincare_check(f: BVFunction1D, x: float, r: float, nu: float,
 
     Both sides are exact; holds compares with c1 and an fp cushion.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if c2 < 1:
-        raise ValueError("c2 must be at least 1")
-    R = c2 * r
-    m = f.mean_ball(x, R)
-    osc = f.abs_deviation_integral(x - R, x + R, m) / r
-    pen = f.penalty_integral(x - R, x + R, nu)
-    lhs = osc + pen
-    rhs = f.tv_open(x - r, x + r)
-    holds = lhs >= c1 * rhs - _EPS * (1.0 + abs(lhs) + abs(rhs))
-    return ReversePoincareResult(lhs, rhs, holds, osc, pen)
+    return ReversePoincareResult(*_penalized_bound(
+        f, x, r, c1, c2, lambda a, b: f.penalty_integral(a, b, nu)))
 
 
 class AnyVectorResult(NamedTuple):
@@ -244,25 +255,17 @@ def any_vector_penalty_check(f: BVFunction1D, x: float, r: float, v: float,
     For v != 0 also verifies the pointwise domination
     2|eta - v| >= 1 - (v/|v|) eta on the derivative's support in the ball.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if c2 < 1:
-        raise ValueError("c2 must be at least 1")
-    R = c2 * r
-    m = f.mean_ball(x, R)
-    osc = f.abs_deviation_integral(x - R, x + R, m) / r
-    pen = f.any_vector_penalty(x - R, x + R, v)
-    lhs = osc + pen
-    rhs = f.tv_open(x - r, x + r)
-    holds = lhs >= c1 * rhs - _EPS * (1.0 + abs(lhs) + abs(rhs))
+    sides = _penalized_bound(f, x, r, c1, c2,
+                             lambda a, b: f.any_vector_penalty(a, b, v))
     consistency = True
     if v != 0.0:
+        R = c2 * r
         unit = v / abs(v)
         etas = [math.copysign(1.0, s) for s in f._sl if s != 0.0]
         etas += [math.copysign(1.0, h) for loc, h in
                  zip(f._jloc, f._jh) if x - R < loc < x + R]
         consistency = all(2 * abs(e - v) >= 1 - unit * e - _EPS for e in etas)
-    return AnyVectorResult(lhs, rhs, holds, osc, pen, consistency)
+    return AnyVectorResult(*sides, consistency)
 
 
 def ramp_plateau_counterexample(n: int) -> BVFunction1D:

@@ -18,21 +18,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import specio
-from .decay import INCONCLUSIVE as DECAY_INCONCLUSIVE
-from .decay import PERSISTS as DECAY_PERSISTS
-from .decay import VANISHES, decay_sweep
+from .decay import decay_sweep
 from .errors import MaxcharError, SpecSchemaError
 from .level_sets import (DECAYS, INCONCLUSIVE, PERSISTS,
                          distribution_experiment, sobolev_experiment)
 from .svgplot import line_plot_svg
-from .verify import DEFAULT_SEED, constants_json, run_verify
+from .verify import DEFAULT_SEED, constants_json, run_verify, seed_from_env
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -71,8 +69,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("tau", "h", "radii", "lambda_decades", "threshold"):
             val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise SpecSchemaError(f"{name} must be positive, got {val}")
+            if val is not None and not 0 < val < math.inf:
+                raise SpecSchemaError(
+                    f"{name} must be positive and finite, got {val}")
+        if self.lambda_decades is not None and self.lambda_decades < 1:
+            # the tail verdict reads the top decade of levels
+            raise SpecSchemaError("lambda_decades must be at least 1, got "
+                                  f"{self.lambda_decades}")
         if self.corpus_size is not None and self.corpus_size < 1:
             raise SpecSchemaError("corpus size must be at least 1")
         if self.input is not None and not Path(self.input).is_file():
@@ -145,16 +148,6 @@ def _load_config_file(path, command: str) -> dict:
     return out
 
 
-def _seed_from_env() -> int:
-    raw = os.environ.get("MAXCHAR_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecSchemaError(f"MAXCHAR_SEED must be an integer, got '{raw}'")
-
-
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     from_file = {}
     if getattr(args, "config", None) is not None:
@@ -166,37 +159,23 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
             merged[name] = flag_val
         elif name in from_file:
             merged[name] = from_file[name]
-    return ExperimentConfig(command=args.command, seed=_seed_from_env(),
+    return ExperimentConfig(command=args.command, seed=seed_from_env(),
                             **merged)
 
 
-# Expectation vocabulary.  The tail classifier and the decay sweep use
-# different canonical strings, so each command maps the shared synonyms
-# onto its own constants.
-_EXPECT_TAIL = {
+# --expect words for the shared verdicts; sobolev also takes the names it
+# prints
+_EXPECT = {
     "persists": PERSISTS,
     "bounded_away_from_zero": PERSISTS,
     "vanishes": DECAYS,
     "decays_to_zero": DECAYS,
 }
-_EXPECT_SOBOLEV = dict(_EXPECT_TAIL)
-_EXPECT_SOBOLEV.update({
-    "w11": DECAYS,
-    "bv-with-jumps": PERSISTS,
-    "bv_with_jumps": PERSISTS,
-})
-_EXPECT_DECAY = {
-    "persists": DECAY_PERSISTS,
-    "bounded_away_from_zero": DECAY_PERSISTS,
-    "vanishes": VANISHES,
-    "decays_to_zero": VANISHES,
-}
-
-_SOBOLEV_NAMES = {DECAYS: "W11", PERSISTS: "BV-with-jumps",
-                  INCONCLUSIVE: "inconclusive"}
+_EXPECT_SOBOLEV = {**_EXPECT, "w11": DECAYS, "bv-with-jumps": PERSISTS,
+                   "bv_with_jumps": PERSISTS}
 
 
-def _expected(cfg: ExperimentConfig, table: dict) -> Optional[str]:
+def _expected(cfg: ExperimentConfig, table: dict = _EXPECT) -> Optional[str]:
     if cfg.expect is None:
         return None
     key = cfg.expect.lower()
@@ -207,9 +186,8 @@ def _expected(cfg: ExperimentConfig, table: dict) -> Optional[str]:
     return table[key]
 
 
-def _verdict_exit(classification: str, expected: Optional[str],
-                  inconclusive: str) -> int:
-    if classification == inconclusive:
+def _verdict_exit(classification: str, expected: Optional[str]) -> int:
+    if classification == INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
     if expected is not None and classification != expected:
         return EXIT_MISMATCH
@@ -254,14 +232,18 @@ def _cmd_distcurve(cfg: ExperimentConfig) -> int:
                             logx=True)
         specio.write_text(out / "curve.svg", svg)
     sys.stdout.write(block)
-    return _verdict_exit(res.verdict.classification,
-                         _expected(cfg, _EXPECT_TAIL), INCONCLUSIVE)
+    return _verdict_exit(res.verdict.classification, _expected(cfg))
+
+
+# the sobolev verdict names
+_SOBOLEV_WORDS = {DECAYS: "W11", PERSISTS: "BV-with-jumps",
+                  INCONCLUSIVE: "inconclusive"}
 
 
 def _cmd_sobolev(cfg: ExperimentConfig) -> int:
     f = specio.load_bv(_require_input(cfg))
     res = sobolev_experiment(f, **_experiment_kwargs(cfg))
-    name = _SOBOLEV_NAMES[res.verdict.classification]
+    name = _SOBOLEV_WORDS[res.verdict.classification]
     block = f"verdict={name}\n" + specio.verdict_block(res.verdict)
     if cfg.out is not None:
         out = Path(cfg.out)
@@ -275,7 +257,7 @@ def _cmd_sobolev(cfg: ExperimentConfig) -> int:
         specio.write_text(out / "curve.svg", svg)
     sys.stdout.write(block)
     return _verdict_exit(res.verdict.classification,
-                         _expected(cfg, _EXPECT_SOBOLEV), INCONCLUSIVE)
+                         _expected(cfg, _EXPECT_SOBOLEV))
 
 
 def _cmd_decay(cfg: ExperimentConfig) -> int:
@@ -298,8 +280,7 @@ def _cmd_decay(cfg: ExperimentConfig) -> int:
                             xlabel="delta", ylabel="Q", logx=True)
         specio.write_text(out / "decay.svg", svg)
     sys.stdout.write(block)
-    return _verdict_exit(report.verdict, _expected(cfg, _EXPECT_DECAY),
-                         DECAY_INCONCLUSIVE)
+    return _verdict_exit(report.verdict, _expected(cfg))
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:

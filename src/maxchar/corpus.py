@@ -11,6 +11,7 @@ import numpy as np
 from .bv import BVFunction1D, derivative_measure, ramp_plateau_counterexample
 from .decay import TimeField
 from .geometry import UniformGrid
+from .level_sets import DECAYS, PERSISTS
 from .measure import Measure, unit_atom
 
 
@@ -140,13 +141,13 @@ def flow_corpus():
                                             np.full(256, 0.5)), (0.0,), 1.0)
     zero = TimeField.steady(Measure(1), (0.0,), 1.0)
     return [
-        ("sign_jump", sign_jump, "persists"),
-        ("tent", tent_tf, "vanishes"),
-        ("mollified_jump", moll, "vanishes"),
-        ("modulated_jump", modulated, "persists"),
-        ("atom_pair", atom_pair, "persists"),
-        ("smooth_ramp", smooth, "vanishes"),
-        ("zero", zero, "vanishes"),
+        ("sign_jump", sign_jump, PERSISTS),
+        ("tent", tent_tf, DECAYS),
+        ("mollified_jump", moll, DECAYS),
+        ("modulated_jump", modulated, PERSISTS),
+        ("atom_pair", atom_pair, PERSISTS),
+        ("smooth_ramp", smooth, DECAYS),
+        ("zero", zero, DECAYS),
     ]
 
 

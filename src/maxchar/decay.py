@@ -19,12 +19,9 @@ import numpy as np
 
 from .errors import ResolutionError
 from .geometry import UniformGrid
+from .level_sets import DECAYS, INCONCLUSIVE, PERSISTS
 from .maximal import RadiusGrid, maximal_values_at
 from .measure import Measure
-
-VANISHES = "vanishes"
-PERSISTS = "persists"
-INCONCLUSIVE = "inconclusive"
 
 _LADDER_PER_DECADE = 24
 _BACKGROUND_CELLS = 256
@@ -237,16 +234,19 @@ def _validate_delta(delta: float):
         raise ValueError("delta must lie in (0, 1/2]")
 
 
+def _q_value(w: np.ndarray, fields, delta: float) -> float:
+    total = math.fsum(wi * f.clipped_integral(delta)
+                      for wi, f in zip(w, fields) if f is not None)
+    return total / abs(math.log(delta))
+
+
 def decay_quantity(tf: TimeField, delta: float,
                    h_background: Optional[float] = None,
                    per_decade: int = 64) -> float:
     """Q(B; delta) by graded-mesh quadrature, exact time weighting."""
     _validate_delta(delta)
     fields = _prepare_slices(tf, delta, h_background, per_decade)
-    w = tf.time_weights()
-    total = math.fsum(wi * f.clipped_integral(delta)
-                      for wi, f in zip(w, fields) if f is not None)
-    return total / abs(math.log(delta))
+    return _q_value(tf.time_weights(), fields, delta)
 
 
 DEFAULT_DELTAS = tuple(10.0 ** -k for k in range(1, 7))
@@ -294,22 +294,18 @@ def decay_sweep(tf: TimeField, deltas: Sequence[float] = DEFAULT_DELTAS,
         threshold = 0.2 * tv_closed
     if tv_closed == 0:
         qs = tuple(0.0 for _ in deltas)
-        return DecayReport(deltas, qs, 0.0, 0.0, VANISHES, 0.0, 0.0,
+        return DecayReport(deltas, qs, 0.0, 0.0, DECAYS, 0.0, 0.0,
                            float(threshold))
     fields = _prepare_slices(tf, deltas[-1], h_background, per_decade)
     w = tf.time_weights()
-    qs = []
-    for delta in deltas:
-        total = math.fsum(wi * f.clipped_integral(delta)
-                          for wi, f in zip(w, fields) if f is not None)
-        qs.append(total / abs(math.log(delta)))
+    qs = [_q_value(w, fields, delta) for delta in deltas]
     dl = np.asarray(deltas)
     decade = dl <= dl[-1] * 10.0 * (1 + 1e-9)
     tail = np.asarray(qs)[decade]
     liminf_est = float(tail.min())
     limsup_est = float(tail.max())
     if limsup_est < threshold:
-        verdict = VANISHES
+        verdict = DECAYS
     elif liminf_est > threshold:
         verdict = PERSISTS
     else:

@@ -4,20 +4,21 @@ The central object is the map lambda -> lambda * vol({field > lambda}),
 computed on the field's evaluation window.  Tail statistics of that curve
 over its top decade classify the input (singular mass persists, absolutely
 continuous mass decays).  The module also carries the point inequality
-checks that share this machinery: the reverse weak (1,1) bound, the almost
-semigroup property of mollified averages, and divergence of mollifications
-on singular support.
+checks that share this machinery: the reverse weak (1,1) bound and the
+almost semigroup property of mollified averages.  The verdict constants
+DECAYS, PERSISTS and INCONCLUSIVE are shared by every classifier; each
+command prints them in its own words.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import ResolutionError, TruncationError
 from .geometry import Box, UniformGrid, ball_volume
 from .maximal import MaximalField, RadiusGrid, maximal_field, \
     oscillation_field
@@ -216,32 +217,29 @@ def weak11_constant(curve: DistributionCurve, total_mass: float) -> float:
 # evaluation window sizing
 
 
-def evaluation_window(mu: Measure, lam_min: float,
-                      cushion: float = 1.05) -> Box:
+def evaluation_window(mu: Measure, lam_min: float) -> Box:
     """Support box padded so that {M|mu| > lam_min} cannot escape it.
 
     A ball reaching the support from distance t has radius > t, hence
     average mass at most |mu| / (omega_d t^d); the margin inverts that at
-    lam_min, the cushion keeps the crossing strictly inside.
+    lam_min, and a 5% cushion keeps the crossing strictly inside.
     """
     if lam_min <= 0:
         raise ValueError("lam_min must be positive")
-    if cushion < 1:
-        raise ValueError("cushion must be at least 1")
     d = mu.dimension
     total = mu.total_variation()
     if total == 0:
         return Box((-1.0,) * d, (1.0,) * d)
-    margin = cushion * (total / (ball_volume(d, 1.0) * lam_min)) ** (1.0 / d)
+    margin = 1.05 * (total / (ball_volume(d, 1.0) * lam_min)) ** (1.0 / d)
     sb = mu.support_box()
     lo = tuple(c - margin for c in sb.lo)
     hi = tuple(c + margin for c in sb.hi)
     return Box(lo, hi)
 
 
-def evaluation_grid(mu: Measure, lam_min: float, spacing: float,
-                    cushion: float = 1.05) -> UniformGrid:
-    window = evaluation_window(mu, lam_min, cushion)
+def evaluation_grid(mu: Measure, lam_min: float,
+                    spacing: float) -> UniformGrid:
+    window = evaluation_window(mu, lam_min)
     return UniformGrid.cover_cells(window.lo, window.hi, spacing)
 
 
@@ -260,8 +258,8 @@ def distribution_experiment(mu: Measure, variant: str = "M",
                             radii_per_decade: int = 64,
                             lambda_decades: float = 2.0,
                             lam_max: Optional[float] = None,
-                            threshold: Optional[float] = None,
-                            cushion: float = 1.05) -> ExperimentResult:
+                            threshold: Optional[float] = None
+                            ) -> ExperimentResult:
     """Full pipeline measure -> field -> curve -> verdict.
 
     Default level range tops out where a superlevel component is still a
@@ -281,9 +279,13 @@ def distribution_experiment(mu: Measure, variant: str = "M",
     if lam_max is None:
         lam_max = total / (ball_volume(d, 1.0) * (5.0 * h) ** d)
     lam_min = lam_max / 10.0 ** lambda_decades
-    grid = evaluation_grid(mu, lam_min, h, cushion)
+    grid = evaluation_grid(mu, lam_min, h)
     rg = RadiusGrid.geometric(h, 1.2 * grid.cell_box().diameter(),
                               radii_per_decade)
+    if variant == "Mtau" and tau is not None and not (
+            rg.r_min < tau <= rg.r_max):
+        raise ResolutionError(f"tau={tau:g} lies outside the swept radii "
+                              f"({rg.r_min:g}, {rg.r_max:g}]")
     fld = maximal_field(mu, grid, rg, variant, tau=tau)
     curve = distribution_curve(fld, LambdaGrid.geometric(lam_min, lam_max,
                                                          48))
@@ -340,7 +342,6 @@ class ReverseWeakResult(NamedTuple):
 
 def reverse_weak11_check(f: GridFunction, t: float, big_c: float = 1.0,
                          c_emp: float = 0.1,
-                         radius_grid: Optional[RadiusGrid] = None,
                          cube: Optional[Box] = None) -> ReverseWeakResult:
     """Reverse-direction weak (1,1) bound for a nonnegative grid density:
 
@@ -372,9 +373,8 @@ def reverse_weak11_check(f: GridFunction, t: float, big_c: float = 1.0,
         return ReverseWeakResult(0.0, rhs, math.inf if rhs == 0 else 0.0,
                                  rhs == 0)
     grid = evaluation_grid(mu, level, h)
-    if radius_grid is None:
-        radius_grid = RadiusGrid.geometric(h, 1.2 * grid.cell_box().diameter())
-    fld = maximal_field(mu, grid, radius_grid, "M")
+    rg = RadiusGrid.geometric(h, 1.2 * grid.cell_box().diameter())
+    fld = maximal_field(mu, grid, rg, "M")
     volume, _ = superlevel_volume(fld, level)
     lhs = t * volume
     ratio = lhs / rhs if rhs > 0 else math.inf
@@ -389,10 +389,11 @@ class SemigroupResult(NamedTuple):
     nodes: int
 
 
-def semigroup_check(mu: Measure, x, r: float, eps: float,
-                    tolerance: float = 1e-6) -> SemigroupResult:
+def semigroup_check(mu: Measure, x, r: float,
+                    eps: float) -> SemigroupResult:
     """Grid average of the eps-mollification over B(x, r) against the
-    2^d-inflated mollification at scale r + eps.
+    2^d-inflated mollification at scale r + eps, with a relative
+    tolerance of 1e-6.
 
     The sampling grid is symmetric about x with spacing min(eps, r)/24 in
     d=1 (12 in d=2), fine enough that the discrete average cannot overshoot
@@ -414,40 +415,5 @@ def semigroup_check(mu: Measure, x, r: float, eps: float,
     vals = mu.mollified_density_points(pts, eps)
     avg = float(vals.mean())
     bound = (2.0 ** d) * mu.mollified_density(x, r + eps)
-    holds = avg <= bound * (1.0 + tolerance) + _FP
+    holds = avg <= bound * (1.0 + 1e-6) + _FP
     return SemigroupResult(avg, bound, holds, len(pts))
-
-
-class BlowupReport(NamedTuple):
-    points: tuple
-    eps: tuple
-    values: np.ndarray  # (n_points, n_eps)
-    monotone_from: tuple
-    holds: bool
-
-
-def blowup_check(mu: Measure, samples: Sequence, eps_sequence: Sequence,
-                 level: float = 1e6) -> BlowupReport:
-    """Divergence of mollified densities along shrinking scales.
-
-    For each sample point the mollification sequence must be nondecreasing
-    from some index on and end above `level`; points off the singular
-    support fail by decaying to zero instead.
-    """
-    eps = np.asarray(eps_sequence, dtype=float)
-    if eps.size < 2 or np.any(np.diff(eps) >= 0) or eps[-1] <= 0:
-        raise ValueError("need a strictly decreasing positive eps sequence")
-    d = mu.dimension
-    pts = np.asarray([np.asarray(p, dtype=float).reshape(d) for p in samples])
-    vals = np.stack([mu.mollified_density_points(pts, e) for e in eps], axis=1)
-    monotone_from = []
-    ok = True
-    for row in vals:
-        increases = np.diff(row) >= -_FP * (1.0 + np.abs(row[:-1]))
-        idx = len(row) - 1
-        while idx > 0 and increases[idx - 1]:
-            idx -= 1
-        monotone_from.append(idx)
-        ok = ok and idx <= len(row) - 2 and row[-1] >= level
-    return BlowupReport(tuple(map(tuple, pts)), tuple(eps), vals,
-                        tuple(monotone_from), ok)

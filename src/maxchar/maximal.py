@@ -4,7 +4,7 @@ Variants:
   M     sup_r |mu|(B(x,r)) / (omega_d r^d)
   Mbar  sup_r |mu(B(x,r))| / (omega_d r^d)       (signed mass, cancellation)
   Mtau  as M but restricted to radii r < tau
-  A     sup_r (1/r) avg_{B(x,r)} |f - mean_{B(x,r)} f|   (on grid functions)
+  A     sup_r (1/r) avg_{B(x,r)} |f - mean_{B(x,r)} f|   (on 1D grid functions)
 
 r runs over [r_min, r_max] of a radius grid.  On a purely atomic measure
 the ball mass is constant between consecutive atom distances, so the sup
@@ -392,49 +392,36 @@ def _span_margin(r: float, h: float) -> int:
     return max(0, int(math.ceil(r / h - 0.5 - 1e-9)))
 
 
+def _require_1d(f: GridFunction):
+    if f.grid.dimension != 1:
+        raise ValueError("the oscillation field is one-dimensional")
+
+
 def oscillation_point(f: GridFunction, x, rg: RadiusGrid) -> OscillationValue:
     """A f(x) over the radius grid; clipped balls are skipped."""
+    _require_1d(f)
     grid = f.grid
     h = grid.spacing
-    d = grid.dimension
-    x = np.asarray(x, dtype=float).reshape(d)
+    x = float(np.asarray(x, dtype=float).reshape(1)[0])
     best = 0.0
     admitted = False
-    if d == 1:
-        ax = grid.axis(0)
-        vals = f.values
-        prefix = np.concatenate([[0.0], np.cumsum(vals)])
-        lo_edge = ax[0] - 0.5 * h
-        hi_edge = ax[-1] + 0.5 * h
-        for r in rg.radii:
-            if x[0] - r < lo_edge - 1e-12 or x[0] + r > hi_edge + 1e-12:
-                continue
-            lo = int(np.searchsorted(ax, x[0] - r, side="right"))
-            hi = int(np.searchsorted(ax, x[0] + r, side="left")) - 1
-            if hi < lo:
-                continue
-            cnt = hi - lo + 1
-            mean = (prefix[hi + 1] - prefix[lo]) / cnt
-            dev = float(np.sum(np.abs(vals[lo:hi + 1] - mean))) / cnt
-            best = max(best, dev / r)
-            admitted = True
-    else:
-        pts = grid.points()
-        vals = f.values.ravel()
-        box = grid.cell_box()
-        for r in rg.radii:
-            if any(x[k] - r < box.lo[k] - 1e-12 or x[k] + r > box.hi[k] + 1e-12
-                   for k in range(2)):
-                continue
-            mask = np.linalg.norm(pts - x, axis=1) < r
-            cnt = int(np.sum(mask))
-            if cnt == 0:
-                continue
-            sel = vals[mask]
-            mean = float(np.mean(sel))
-            dev = float(np.mean(np.abs(sel - mean)))
-            best = max(best, dev / r)
-            admitted = True
+    ax = grid.axis(0)
+    vals = f.values
+    prefix = np.concatenate([[0.0], np.cumsum(vals)])
+    lo_edge = ax[0] - 0.5 * h
+    hi_edge = ax[-1] + 0.5 * h
+    for r in rg.radii:
+        if x - r < lo_edge - 1e-12 or x + r > hi_edge + 1e-12:
+            continue
+        lo = int(np.searchsorted(ax, x - r, side="right"))
+        hi = int(np.searchsorted(ax, x + r, side="left")) - 1
+        if hi < lo:
+            continue
+        cnt = hi - lo + 1
+        mean = (prefix[hi + 1] - prefix[lo]) / cnt
+        dev = float(np.sum(np.abs(vals[lo:hi + 1] - mean))) / cnt
+        best = max(best, dev / r)
+        admitted = True
     return OscillationValue(best, not admitted)
 
 
@@ -544,47 +531,13 @@ def _oscillation_field_1d(f: GridFunction, rg: RadiusGrid,
     return best, ~admitted
 
 
-def _oscillation_field_2d(f: GridFunction, rg: RadiusGrid):
-    vals = f.values
-    n0, n1 = vals.shape
-    h = f.grid.spacing
-    best = np.zeros_like(vals)
-    admitted = np.zeros(vals.shape, dtype=bool)
-    for r in rg.radii:
-        K = _node_window(r, h)
-        m = max(K, _span_margin(r, h))
-        if 2 * m >= n0 or 2 * m >= n1:
-            continue
-        di, dj = np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1),
-                             indexing="ij")
-        keep = (di**2 + dj**2) * h**2 < r**2
-        offs = list(zip(di[keep].ravel(), dj[keep].ravel()))
-        core = (slice(m, n0 - m), slice(m, n1 - m))
-        admitted[core] = True
-        if len(offs) <= 1:
-            continue
-        acc = np.zeros((n0 - 2 * m, n1 - 2 * m))
-        for a, b in offs:
-            acc += vals[m + a:n0 - m + a, m + b:n1 - m + b]
-        mean = acc / len(offs)
-        dev = np.zeros_like(acc)
-        for a, b in offs:
-            dev += np.abs(vals[m + a:n0 - m + a, m + b:n1 - m + b] - mean)
-        dev /= len(offs) * r
-        best[core] = np.maximum(best[core], dev)
-    return best.ravel(), ~admitted.ravel()
-
-
 def oscillation_field(f: GridFunction, rg: RadiusGrid) -> MaximalField:
-    """A f at every node.  Nodes where all radii were skipped carry value 0
-    and a flag.
+    """A f at every node of a 1D grid function.  Nodes where all radii were
+    skipped carry value 0 and a flag.
 
-    In 1D a radius costs O(n * runs * log n) on n samples with few monotone
-    runs and O(n * W) on noisy ones (see the module docstring); in 2D it
-    costs O(n * disc nodes)."""
-    if f.grid.dimension == 1:
-        best, flags = _oscillation_field_1d(f, rg)
-    else:
-        best, flags = _oscillation_field_2d(f, rg)
+    A radius costs O(n * runs * log n) on n samples with few monotone runs
+    and O(n * W) on noisy ones (see the module docstring)."""
+    _require_1d(f)
+    best, flags = _oscillation_field_1d(f, rg)
     return MaximalField(f.grid, best.reshape(f.grid.extents), "A", rg,
                         flags=flags.reshape(f.grid.extents))

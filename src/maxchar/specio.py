@@ -1,8 +1,8 @@
 """Spec-file loading and artifact serialization.
 
-Input specs are JSON.  The top-level keys discriminate the payload:
-"breakpoints" marks a piecewise-affine function, "times" a time-dependent
-derivative field, "dimension" a measure.  Schema problems raise
+Input specs are JSON: "breakpoints" marks a piecewise-affine function,
+"times" a time-dependent derivative field, "dimension" a measure (and
+tells the two kinds of time-field slice apart).  Schema problems raise
 SpecSchemaError carrying the file path and the line of the offending key,
 so CLI diagnostics stay line-precise.
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -22,7 +21,8 @@ from .bv import BVFunction1D, derivative_measure
 from .decay import DecayReport, TimeField
 from .errors import SpecSchemaError
 from .geometry import UniformGrid
-from .level_sets import DistributionCurve, TailVerdict
+from .level_sets import (DECAYS, INCONCLUSIVE, PERSISTS, DistributionCurve,
+                         TailVerdict)
 from .measure import Measure
 
 
@@ -195,20 +195,6 @@ def load_timefield(path) -> TimeField:
     return _parse_timefield(_parse_root(ctx), ctx)
 
 
-def load_input(path) -> Union[Measure, BVFunction1D, TimeField]:
-    """Load any spec file, discriminated by its top-level keys."""
-    ctx = _read(path)
-    obj = _parse_root(ctx)
-    if "breakpoints" in obj:
-        return _parse_bv(obj, ctx)
-    if "times" in obj:
-        return _parse_timefield(obj, ctx)
-    if "dimension" in obj:
-        return _parse_measure(obj, ctx)
-    raise ctx.fail("cannot classify spec: expected one of the keys "
-                   "'breakpoints', 'times', 'dimension'")
-
-
 # ----------------------------------------------------------------------
 # artifact writers
 
@@ -238,8 +224,13 @@ def verdict_block(v: TailVerdict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the decay report's words for the shared verdicts
+_DECAY_WORDS = {DECAYS: "vanishes", PERSISTS: "persists",
+                INCONCLUSIVE: "inconclusive"}
+
+
 def decay_block(r: DecayReport) -> str:
-    lines = [f"verdict={r.verdict}",
+    lines = [f"verdict={_DECAY_WORDS[r.verdict]}",
              f"liminf_est={fmt(r.liminf_est)}",
              f"limsup_est={fmt(r.limsup_est)}",
              f"singular_mass_timeintegral={fmt(r.singular_mass_timeintegral)}",

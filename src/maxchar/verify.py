@@ -18,7 +18,7 @@ from . import corpus
 from .bv import BVFunction1D, ramp_plateau_counterexample, \
     reverse_poincare_check, any_vector_penalty_check
 from .decay import decay_sweep, level_integral_slice
-from .errors import MaxcharError
+from .errors import MaxcharError, SpecSchemaError
 from .geometry import UniformGrid
 from .level_sets import (LambdaGrid, distribution_curve, tail_verdict,
                          superlevel_volume, evaluation_grid, weak11_constant,
@@ -30,6 +30,17 @@ from .measure import Measure, GridFunction, unit_atom
 from .specio import fmt
 
 DEFAULT_SEED = 20260814
+
+
+def seed_from_env() -> int:
+    """MAXCHAR_SEED as an integer, DEFAULT_SEED when it is unset."""
+    raw = os.environ.get("MAXCHAR_SEED")
+    if raw is None:
+        return DEFAULT_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise SpecSchemaError(f"MAXCHAR_SEED must be an integer, got '{raw}'")
 
 
 class CheckResult(NamedTuple):
@@ -356,7 +367,7 @@ def run_verify(corpus_size: Optional[int] = None,
     if corpus_size is not None and corpus_size < 1:
         raise ValueError("corpus size must be at least 1")
     if seed is None:
-        seed = int(os.environ.get("MAXCHAR_SEED", str(DEFAULT_SEED)))
+        seed = seed_from_env()
     results = []
     constants = {}
     for idx, (name, fn) in enumerate(_CHECKS, start=1):

@@ -14,8 +14,7 @@ import pytest
 from maxchar import corpus, verify
 from maxchar.bv import (BVFunction1D, ramp_plateau_counterexample,
                         reverse_poincare_check)
-from maxchar.decay import PERSISTS as DECAY_PERSISTS
-from maxchar.decay import VANISHES, TimeField, decay_sweep
+from maxchar.decay import TimeField, decay_sweep
 from maxchar.geometry import UniformGrid
 from maxchar.level_sets import (DECAYS, PERSISTS, distribution_experiment,
                                 evaluation_grid, reverse_weak11_check,
@@ -154,7 +153,7 @@ def test_c11_decay_sandwich():
     t0 = time.monotonic()
     sign = TimeField.steady(Measure(1, atoms=(((0.0,), 2.0),)), [0.5], 0.5)
     rep = decay_sweep(sign, h_background=1e-3)
-    assert rep.verdict == DECAY_PERSISTS
+    assert rep.verdict == PERSISTS
     assert rep.deltas[2] == pytest.approx(1e-3)
     assert rep.q_values[2] == pytest.approx(1.1448, rel=0.03)
     assert rep.deltas[5] == pytest.approx(1e-6)
@@ -164,7 +163,7 @@ def test_c11_decay_sandwich():
                         compact_support=True)
     rep2 = decay_sweep(TimeField.steady(derivative_measure(tent), [0.0], 1.0),
                        h_background=1e-3)
-    assert rep2.verdict == VANISHES
+    assert rep2.verdict == DECAYS
     assert rep2.q_values[0] / rep2.q_values[3] == pytest.approx(4.0, rel=0.2)
     assert time.monotonic() - t0 < 60.0
 

@@ -8,9 +8,6 @@ import pytest
 from maxchar.bv import BVFunction1D, derivative_measure
 from maxchar.decay import (
     DEFAULT_DELTAS,
-    INCONCLUSIVE,
-    PERSISTS,
-    VANISHES,
     DecayReport,
     TimeField,
     decay_quantity,
@@ -18,6 +15,7 @@ from maxchar.decay import (
     level_integral_slice,
 )
 from maxchar.errors import ResolutionError
+from maxchar.level_sets import DECAYS, INCONCLUSIVE, PERSISTS
 from maxchar.measure import Measure, unit_atom
 
 LN10 = math.log(10.0)
@@ -128,7 +126,7 @@ class TestDecaySweep:
 
     def test_tent_vanishes(self):
         rep = decay_sweep(tent_field())
-        assert rep.verdict == VANISHES
+        assert rep.verdict == DECAYS
         assert rep.limsup_est < rep.threshold
         assert rep.q_values[0] / rep.q_values[3] == pytest.approx(4.0,
                                                                   rel=1e-2)
@@ -136,7 +134,7 @@ class TestDecaySweep:
     def test_zero_field_short_circuits(self):
         tf = TimeField.steady(Measure(1), [0.0], 1.0)
         rep = decay_sweep(tf)
-        assert rep.verdict == VANISHES
+        assert rep.verdict == DECAYS
         assert rep.q_values == (0.0,) * len(DEFAULT_DELTAS)
 
     def test_time_dependent_mixture(self):

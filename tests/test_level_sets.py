@@ -15,7 +15,6 @@ from maxchar.level_sets import (
     DistributionCurve,
     LambdaGrid,
     TailVerdict,
-    blowup_check,
     distribution_curve,
     distribution_experiment,
     evaluation_window,
@@ -195,14 +194,14 @@ class TestWeak11Constant:
 
 class TestEvaluationWindow:
     def test_margin_inverts_the_mass_bound(self):
-        box = evaluation_window(unit_atom(0.0), lam_min=0.1, cushion=1.05)
+        box = evaluation_window(unit_atom(0.0), lam_min=0.1)
         assert box.lo[0] == pytest.approx(-5.25)
         assert box.hi[0] == pytest.approx(5.25)
 
     def test_2d_margin(self):
         box = evaluation_window(unit_atom([0.0, 0.0], dimension=2),
-                                lam_min=0.1, cushion=1.0)
-        want = math.sqrt(1.0 / (math.pi * 0.1))
+                                lam_min=0.1)
+        want = 1.05 * math.sqrt(1.0 / (math.pi * 0.1))
         assert box.hi[0] == pytest.approx(want)
 
     def test_zero_measure_default_box(self):
@@ -211,8 +210,6 @@ class TestEvaluationWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
             evaluation_window(unit_atom(0.0), 0.0)
-        with pytest.raises(ValueError):
-            evaluation_window(unit_atom(0.0), 1.0, cushion=0.9)
 
 
 class TestDistributionExperiment:
@@ -325,22 +322,3 @@ class TestSemigroup:
             semigroup_check(unit_atom(0.0), [0.0], 0.0, 0.1)
         with pytest.raises(ValueError):
             semigroup_check(unit_atom(0.0), [0.0], 0.1, -1.0)
-
-
-class TestBlowup:
-    def test_atom_diverges_on_support(self):
-        eps = tuple(np.geomspace(1e-1, 1e-7, 13))
-        rep = blowup_check(unit_atom(0.0), [[0.0]], eps)
-        assert rep.holds
-        assert rep.values[0, -1] == pytest.approx(1.0 / (2e-7), rel=1e-9)
-        assert rep.monotone_from[0] == 0
-
-    def test_point_off_support_fails(self):
-        eps = tuple(np.geomspace(1e-1, 1e-6, 11))
-        rep = blowup_check(unit_atom(0.0), [[0.0], [3.0]], eps)
-        assert not rep.holds
-        assert rep.values[1, -1] == 0.0
-
-    def test_eps_must_decrease(self):
-        with pytest.raises(ValueError):
-            blowup_check(unit_atom(0.0), [[0.0]], (1e-3, 1e-2))

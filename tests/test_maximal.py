@@ -134,14 +134,14 @@ class TestOscillation:
             assert fld.values[idx] == pytest.approx(pt.value, abs=1e-12)
             assert bool(fld.flags[idx]) == pt.skipped_all
 
-    def test_2d_constant_is_zero(self):
+    def test_2d_is_rejected(self):
         grid = UniformGrid.cover_cells([-1.0, -1.0], [1.0, 1.0], 0.05)
         f = GridFunction(grid, np.ones(grid.extents))
         rg = RadiusGrid.geometric(0.1, 0.8, 8)
-        fld = oscillation_field(f, rg)
-        inner = fld.values[~fld.flags]
-        assert inner.size > 0
-        assert np.all(inner == 0.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            oscillation_field(f, rg)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            oscillation_point(f, [0.0, 0.0], rg)
 
 
 # ----------------------------------------------------------------------

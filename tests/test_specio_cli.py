@@ -1,6 +1,7 @@
 """Spec-file IO, artifact writers, and the command line contract."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,6 @@ from maxchar.specio import (
     distribution_csv,
     fmt,
     load_bv,
-    load_input,
     load_measure,
     load_timefield,
     verdict_block,
@@ -54,17 +54,6 @@ class TestLoaders:
         assert tf.times == (0.5,)
         assert tf.ball_center == (0.5,)
         assert tf.slices[0].total_variation() == pytest.approx(2.0)
-
-    def test_load_input_discriminates(self):
-        assert isinstance(load_input(SPECS / "tent.json"), BVFunction1D)
-        assert isinstance(load_input(SPECS / "sign_field.json"), TimeField)
-        assert isinstance(load_input(SPECS / "unit_atom.json"), Measure)
-
-    def test_unclassifiable_spec(self, tmp_path):
-        p = tmp_path / "odd.json"
-        p.write_text('{"what": 1}\n')
-        with pytest.raises(SpecSchemaError, match="cannot classify"):
-            load_input(p)
 
     def test_bad_value_reports_key_line(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -215,6 +204,7 @@ class TestCliExitCodes:
         assert "classification=inconclusive" in capsys.readouterr().out
 
     def test_usage_errors(self, tmp_path, capsys):
+        atom = str(SPECS / "unit_atom.json")
         cases = [
             ("distcurve", "--input", str(tmp_path / "missing.json")),
             ("distcurve", "--input", str(SPECS / "unit_atom.json"),
@@ -227,10 +217,20 @@ class TestCliExitCodes:
              "--h", "0.01", "--radii", "16", "--expect", "sideways"),
             ("verify", "--corpus-size", "0"),
             (),
+            ("distcurve", "--input", atom, "--h", "inf"),
+            ("decay", "--input", str(SPECS / "sign_field.json"),
+             "--h", "inf"),
+            ("distcurve", "--input", atom, "--threshold", "1e400"),
+            ("distcurve", "--input", atom, "--lambda-decades", "0.5"),
+            ("sobolev", "--input", str(SPECS / "tent.json"),
+             "--lambda-decades", "0.5"),
+            ("distcurve", "--input", atom, "--variant", "Mtau",
+             "--tau", "1e-9"),
         ]
         for argv in cases:
             assert run_cli(*argv) == 1, argv
-            assert "error:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
     @pytest.mark.parametrize("argv,config", [
         (("distcurve", "unit_atom.json", "--threads", "2"), None),
@@ -272,6 +272,81 @@ class TestCliExitCodes:
         assert run_cli("distcurve", "--input", str(p)) == 1
         err = capsys.readouterr().err
         assert f"{p}:3:" in err
+
+
+# Each command's two inputs, the first line it prints for each, and the
+# --expect words it accepts, split by the verdict they name.
+_SOLID = ("bounded_away_from_zero", "persists")
+_FADES = ("decays_to_zero", "vanishes")
+_VOCABULARY = {
+    "distcurve": {
+        "persists": (("unit_atom.json", "--h", "0.005", "--radii", "32"),
+                     "classification=bounded_away_from_zero", _SOLID),
+        "fades": (("chi_density.json", "--h", "0.005", "--radii", "32"),
+                  "classification=decays_to_zero", _FADES),
+    },
+    "sobolev": {
+        "persists": (("step.json", "--h", "0.002"), "verdict=BV-with-jumps",
+                     _SOLID + ("bv-with-jumps", "bv_with_jumps",
+                               "BV-with-jumps")),
+        "fades": (("tent.json", "--h", "0.002"), "verdict=W11",
+                  _FADES + ("w11", "W11")),
+    },
+    "decay": {
+        "persists": (("sign_field.json", "--radii", "32"), "verdict=persists",
+                     _SOLID),
+        "fades": (("tent_field.json", "--radii", "32"), "verdict=vanishes",
+                  _FADES),
+    },
+}
+_CHOICES = {
+    "distcurve": "bounded_away_from_zero, decays_to_zero, persists, vanishes",
+    "sobolev": "bounded_away_from_zero, bv-with-jumps, bv_with_jumps, "
+               "decays_to_zero, persists, vanishes, w11",
+    "decay": "bounded_away_from_zero, decays_to_zero, persists, vanishes",
+}
+
+
+def _vocabulary_cases():
+    for command, sides in _VOCABULARY.items():
+        for side, (_, _, words) in sides.items():
+            other = "fades" if side == "persists" else "persists"
+            for word in words:
+                yield pytest.param(command, side, word, 0,
+                                   id=f"{command}-{word}-match")
+                yield pytest.param(command, other, word, 3,
+                                   id=f"{command}-{word}-mismatch")
+
+
+def _cli_args(command, side):
+    spec, *extra = _VOCABULARY[command][side][0]
+    return (command, "--input", str(SPECS / spec), *extra)
+
+
+class TestExpectVocabulary:
+    """The --expect words, printed verdicts and exit codes of the three
+    verdict commands."""
+
+    @pytest.mark.parametrize("command,side,word,code", _vocabulary_cases())
+    def test_expect_word(self, capsys, command, side, word, code):
+        assert run_cli(*_cli_args(command, side), "--expect", word) == code
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == _VOCABULARY[command][side][1]
+
+    @pytest.mark.parametrize("command", sorted(_CHOICES))
+    def test_unknown_word_lists_the_choices(self, capsys, command):
+        assert run_cli(*_cli_args(command, "persists"), "--expect",
+                       "sideways") == 1
+        assert capsys.readouterr().err == (
+            "error: unknown expectation 'sideways' "
+            f"(choices: {_CHOICES[command]})\n")
+
+    def test_sobolev_names_are_not_distcurve_words(self, capsys):
+        assert run_cli(*_cli_args("distcurve", "fades"), "--expect",
+                       "w11") == 1
+        assert capsys.readouterr().err == (
+            "error: unknown expectation 'w11' "
+            f"(choices: {_CHOICES['distcurve']})\n")
 
 
 class TestCliArtifacts:
@@ -401,6 +476,19 @@ class TestCliVerify:
         monkeypatch.setenv("MAXCHAR_SEED", "not-a-number")
         assert run_cli("verify", "--corpus-size", "1") == 1
         assert "MAXCHAR_SEED" in capsys.readouterr().err
+
+    def test_bad_seed_env_in_calibration_script(self, tmp_path):
+        out = tmp_path / "constants.json"
+        proc = subprocess.run(
+            [sys.executable, str(SPECS.parent / "scripts"
+                                 / "calibrate_constants.py"),
+             "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ,
+                                                 "MAXCHAR_SEED": "abc"})
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: MAXCHAR_SEED must be an integer, "
+                               "got 'abc'\n")
+        assert not out.exists()
 
 
 def test_module_entry_point():
