@@ -30,7 +30,7 @@ from .errors import MaxcharError, SpecSchemaError
 from .level_sets import (DECAYS, INCONCLUSIVE, PERSISTS,
                          distribution_experiment, sobolev_experiment)
 from .svgplot import line_plot_svg
-from .verify import DEFAULT_SEED, constants_json, run_verify, seed_from_env
+from .verify import constants_json, run_verify
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,7 +64,6 @@ class ExperimentConfig:
     expect: Optional[str] = None
     out: Optional[Path] = None
     corpus_size: Optional[int] = None
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         for name in ("tau", "h", "radii", "lambda_decades", "threshold"):
@@ -159,8 +158,7 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
             merged[name] = flag_val
         elif name in from_file:
             merged[name] = from_file[name]
-    return ExperimentConfig(command=args.command, seed=seed_from_env(),
-                            **merged)
+    return ExperimentConfig(command=args.command, **merged)
 
 
 # --expect words for the shared verdicts; sobolev also takes the names it
@@ -213,7 +211,20 @@ def _experiment_kwargs(cfg: ExperimentConfig) -> dict:
     return kwargs
 
 
+def _write_curve(cfg: ExperimentConfig, curve, block: str, title: str):
+    """curve.csv, verdict.txt and curve.svg into --out, if given."""
+    if cfg.out is None:
+        return
+    out = Path(cfg.out)
+    specio.write_text(out / "curve.csv", specio.distribution_csv(curve))
+    specio.write_text(out / "verdict.txt", block)
+    svg = line_plot_svg(curve.lambdas, curve.products, title=title,
+                        xlabel="lambda", ylabel="lambda * volume", logx=True)
+    specio.write_text(out / "curve.svg", svg)
+
+
 def _cmd_distcurve(cfg: ExperimentConfig) -> int:
+    expected = _expected(cfg)
     mu = specio.load_measure(_require_input(cfg))
     variant = cfg.variant or "M"
     if variant == "Mtau" and cfg.tau is None:
@@ -221,18 +232,9 @@ def _cmd_distcurve(cfg: ExperimentConfig) -> int:
     res = distribution_experiment(mu, variant, tau=cfg.tau,
                                   **_experiment_kwargs(cfg))
     block = specio.verdict_block(res.verdict)
-    if cfg.out is not None:
-        out = Path(cfg.out)
-        specio.write_text(out / "curve.csv",
-                          specio.distribution_csv(res.curve))
-        specio.write_text(out / "verdict.txt", block)
-        svg = line_plot_svg(res.curve.lambdas, res.curve.products,
-                            title=f"level products, variant {variant}",
-                            xlabel="lambda", ylabel="lambda * volume",
-                            logx=True)
-        specio.write_text(out / "curve.svg", svg)
+    _write_curve(cfg, res.curve, block, f"level products, variant {variant}")
     sys.stdout.write(block)
-    return _verdict_exit(res.verdict.classification, _expected(cfg))
+    return _verdict_exit(res.verdict.classification, expected)
 
 
 # the sobolev verdict names
@@ -241,26 +243,18 @@ _SOBOLEV_WORDS = {DECAYS: "W11", PERSISTS: "BV-with-jumps",
 
 
 def _cmd_sobolev(cfg: ExperimentConfig) -> int:
+    expected = _expected(cfg, _EXPECT_SOBOLEV)
     f = specio.load_bv(_require_input(cfg))
     res = sobolev_experiment(f, **_experiment_kwargs(cfg))
     name = _SOBOLEV_WORDS[res.verdict.classification]
     block = f"verdict={name}\n" + specio.verdict_block(res.verdict)
-    if cfg.out is not None:
-        out = Path(cfg.out)
-        specio.write_text(out / "curve.csv",
-                          specio.distribution_csv(res.curve))
-        specio.write_text(out / "verdict.txt", block)
-        svg = line_plot_svg(res.curve.lambdas, res.curve.products,
-                            title="oscillation level products",
-                            xlabel="lambda", ylabel="lambda * volume",
-                            logx=True)
-        specio.write_text(out / "curve.svg", svg)
+    _write_curve(cfg, res.curve, block, "oscillation level products")
     sys.stdout.write(block)
-    return _verdict_exit(res.verdict.classification,
-                         _expected(cfg, _EXPECT_SOBOLEV))
+    return _verdict_exit(res.verdict.classification, expected)
 
 
 def _cmd_decay(cfg: ExperimentConfig) -> int:
+    expected = _expected(cfg)
     tf = specio.load_timefield(_require_input(cfg))
     kwargs = {}
     if cfg.h is not None:
@@ -280,11 +274,11 @@ def _cmd_decay(cfg: ExperimentConfig) -> int:
                             xlabel="delta", ylabel="Q", logx=True)
         specio.write_text(out / "decay.svg", svg)
     sys.stdout.write(block)
-    return _verdict_exit(report.verdict, _expected(cfg))
+    return _verdict_exit(report.verdict, expected)
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
-    rep = run_verify(corpus_size=cfg.corpus_size, seed=cfg.seed)
+    rep = run_verify(corpus_size=cfg.corpus_size)
     if cfg.out is not None:
         out = Path(cfg.out)
         specio.write_text(out / "report.txt", rep.text)

@@ -16,12 +16,11 @@ values are exact to rounding, with membership decided by the computed
 distances, never by rounded positions x +- r.
 
 A measure with a density or a curve takes its event radii first: the
-exact distances to each atom (as the closed-ball limit) and to each sharp
-density edge.  A sweep over the geometric radius grid then raises these
-values.  The result is a lower bound of the true supremum, nondecreasing
-under radius-grid refinement.  For 1D atoms mixed with a density the
-closed ball at x + |x - a| can round below the atom a and miss it, and the
-value then falls back to the next grid radius.
+exact distances to each atom (as the closed-ball limit, which holds the
+atom, since every ball query decides membership by the same computed
+distances) and to each sharp density edge.  A sweep over the geometric
+radius grid then raises these values.  The result is a lower bound of the
+true supremum, nondecreasing under radius-grid refinement.
 
 The sweep runs the radii in increasing order and queries, at each radius,
 only the live nodes, whose ball can still raise their running supremum:
@@ -164,32 +163,22 @@ def _atomic_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
     """
     d = mu.dimension
     omega = UNIT_BALL_VOLUME[d]
-    apos = mu._apos
     w = mu._aw if signed else np.abs(mu._aw)
     r_min = rg.radii[0]
-    best = np.empty(len(points))
-    rows = max(1, _EVENT_BLOCK // len(apos))
-    for b in range(0, len(points), rows):
-        p = points[b:b + rows]
-        if d == 1:
-            dist = np.abs(p[:, :1] - apos[None, :, 0])
-        else:
-            dist = np.linalg.norm(p[:, None, :] - apos[None, :, :], axis=2)
-        order = np.argsort(dist, axis=1, kind="stable")
-        dist = np.take_along_axis(dist, order, axis=1)
-        mass = np.abs(np.cumsum(w[order], axis=1))
-        # the open ball at r_min holds the atoms closer than r_min
-        inner = np.count_nonzero(dist < r_min, axis=1)
-        at_min = np.where(inner > 0, mass[np.arange(len(p)), inner - 1], 0.0)
-        last = np.ones(dist.shape, dtype=bool)
-        last[:, :-1] = dist[:, 1:] != dist[:, :-1]
-        ok = last & (dist > 0) & (dist >= r_min)
-        ok &= dist < tau if tau is not None else dist <= rg.r_max
-        ratio = np.divide(mass, omega * dist**d, out=np.zeros_like(mass),
-                          where=ok)
-        best[b:b + rows] = np.maximum(at_min / (omega * r_min**d),
-                                      ratio.max(axis=1))
-    return best
+    dist = mu._atom_distances(points)
+    order = np.argsort(dist, axis=1, kind="stable")
+    dist = np.take_along_axis(dist, order, axis=1)
+    mass = np.abs(np.cumsum(w[order], axis=1))
+    # the open ball at r_min holds the atoms closer than r_min
+    inner = np.count_nonzero(dist < r_min, axis=1)
+    at_min = np.where(inner > 0, mass[np.arange(len(points)), inner - 1], 0.0)
+    last = np.ones(dist.shape, dtype=bool)
+    last[:, :-1] = dist[:, 1:] != dist[:, :-1]
+    ok = last & (dist > 0) & (dist >= r_min)
+    ok &= dist < tau if tau is not None else dist <= rg.r_max
+    ratio = np.divide(mass, omega * dist**d, out=np.zeros_like(mass),
+                      where=ok)
+    return np.maximum(at_min / (omega * r_min**d), ratio.max(axis=1))
 
 
 def _box_bound(mu: Measure, points: np.ndarray,
@@ -230,36 +219,15 @@ def _box_bound(mu: Measure, points: np.ndarray,
     return bound
 
 
-def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
-                      variant: str = "M", tau: Optional[float] = None):
-    """Maximal values at arbitrary points; returns (values, flags).
-
-    flags marks points within r_min of the singular support, where the
-    truncated sup cannot chase the blow-up.
-    """
-    if variant not in ("M", "Mbar", "Mtau"):
-        raise ValueError(f"not a measure variant: {variant!r}")
+def _swept_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
+                  signed: bool, tau: Optional[float]) -> np.ndarray:
+    """Event radii, then the pruned sweep over the radius grid, of a
+    measure with a density or a curve (see the module docstring)."""
     d = mu.dimension
     omega = UNIT_BALL_VOLUME[d]
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
-
-    radii = rg.radii
-    if variant == "Mtau":
-        if tau is None or not (rg.r_min < tau <= rg.r_max):
-            raise ValueError("Mtau needs tau in (r_min, r_max]")
-        radii = radii[radii < tau]
-    else:
-        tau = None
-    signed = variant == "Mbar"
-    flags = mu.singular_support_distance(points) < rg.r_min
-    if len(mu._apos) and mu.density is None and not mu.curves:
-        return _atomic_values(mu, points, rg, signed, tau), flags
-
-    atom_dist = None
-    if d == 2 and len(mu._apos):
-        atom_dist = np.linalg.norm(
-            points[:, None, :] - mu._apos[None, :, :], axis=2)
+    radii = rg.radii if tau is None else rg.radii[rg.radii < tau]
+    atom_dist = mu._atom_distances(points)
     best = np.zeros(n)
 
     # event radii first, so that the sweep below starts from their values:
@@ -273,19 +241,14 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
             ok &= dist <= rg.r_max
         if not np.any(ok):
             return
-        sub_dist = atom_dist[ok] if atom_dist is not None else None
         m = mu.ball_masses(points[ok], dist[ok], absolute=not signed,
-                           closed=closed, _atom_dist=sub_dist)
+                           closed=closed, _atom_dist=atom_dist[ok])
         if signed:
             np.abs(m, out=m)
         best[ok] = np.maximum(best[ok], m / (omega * dist[ok]**d))
 
     for j in range(len(mu._apos)):
-        if d == 1:
-            dist = np.abs(points[:, 0] - mu._apos[j, 0])
-        else:
-            dist = atom_dist[:, j]
-        apply_events(dist, closed=True)
+        apply_events(atom_dist[:, j], closed=True)
     for e in mu.density_sharp_edges():
         apply_events(np.abs(points[:, 0] - e), closed=False)
 
@@ -328,6 +291,35 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
             np.maximum(best, m / vol, out=best)
         else:
             best[rows] = np.maximum(best[rows], m / vol)
+    return best
+
+
+def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
+                      variant: str = "M", tau: Optional[float] = None):
+    """Maximal values at arbitrary points; returns (values, flags).
+
+    flags marks points within r_min of the singular support, where the
+    truncated sup cannot chase the blow-up.  The points go in row blocks
+    of at most _EVENT_BLOCK point-atom distances; a node's value does not
+    depend on the other rows, so the blocks change no bits.
+    """
+    if variant not in ("M", "Mbar", "Mtau"):
+        raise ValueError(f"not a measure variant: {variant!r}")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if variant == "Mtau":
+        if tau is None or not (rg.r_min < tau <= rg.r_max):
+            raise ValueError("Mtau needs tau in (r_min, r_max]")
+    else:
+        tau = None
+    signed = variant == "Mbar"
+    flags = mu.singular_support_distance(points) < rg.r_min
+    k = len(mu._apos)
+    atomic = k > 0 and mu.density is None and not mu.curves
+    kernel = _atomic_values if atomic else _swept_values
+    rows = max(1, _EVENT_BLOCK // k) if k else max(1, len(points))
+    best = np.empty(len(points))
+    for b in range(0, len(points), rows):
+        best[b:b + rows] = kernel(mu, points[b:b + rows], rg, signed, tau)
     return best, flags
 
 
@@ -346,15 +338,14 @@ def maximal_field(mu: Measure, eval_grid: UniformGrid, rg: RadiusGrid,
     A purely atomic measure costs O(nodes * k log k) for k atoms, from
     event radii alone, and its values are exact.  Otherwise the event
     radii come first, O(nodes * (atoms + sharp edges)) queries, and the
-    sweep costs O(live pairs * query) plus, for 2D atoms, O(nodes * atoms)
-    per radius: a node-radius pair is live while the ball reaches the
-    support box and |mu| / (omega_d r^d) exceeds the node's running value;
-    with a 2D density, the box bound B / (omega_d r^d) must exceed it as
-    well, at O(1 + atoms) per live node plus O(log cells) per distinct x
-    and y (see the module docstring).  Atomic queries cost O(log k) in 1D
-    via sorted prefix sums.  A 1D density query costs O(log cells) from
-    cumulative sums; a 2D one costs O(log cells) per cell row within r of
-    the node, two lookups in that row's prefix sums, with the row
+    sweep costs O(live pairs * query), an atom term costing O(atoms): a
+    node-radius pair is live while the ball reaches the support box and
+    |mu| / (omega_d r^d) exceeds the node's running value; with a 2D
+    density, the box bound B / (omega_d r^d) must exceed it as well, at
+    O(1 + atoms) per live node plus O(log cells) per distinct x and y
+    (see the module docstring).  A 1D density query costs O(log cells)
+    from cumulative sums; a 2D one costs O(log cells) per cell row within
+    r of the node, two lookups in that row's prefix sums, with the row
     half-width shared by the nodes of equal x and r.
     """
     if eval_grid.dimension != mu.dimension:

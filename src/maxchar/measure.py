@@ -6,9 +6,13 @@ A measure is represented exactly as
   * polylines carrying a constant signed linear density (d = 2 only).
 Atoms and curves make up the singular part; the density is the AC part.
 Ball queries use the OPEN ball convention: an atom exactly on the boundary
-does not count.  Density cells contribute by exact interval clipping in 1D
-and by the center-in-ball rule in 2D; curve segments contribute their exact
-chord length inside the ball times the linear density.
+does not count.  Every query decides atom membership by the computed
+point-atom distance D of _atom_distances (|x - a| in 1D, the Euclidean
+norm in 2D): the atom is in the ball when D < r (D <= r if closed), never
+by rounded positions x +- r.  Density cells contribute by exact interval
+clipping in 1D and by the center-in-ball rule in 2D; curve segments
+contribute their exact chord length inside the ball times the linear
+density.
 """
 
 from __future__ import annotations
@@ -103,20 +107,6 @@ class Measure:
         # total variation is summed before any cumulative sum, so weights
         # whose sum overflows fail with the error below and no numpy warning
         tv = _finite_total_variation(0.0, np.abs(aw))
-
-        if d == 1 and len(apos):
-            order = np.argsort(apos[:, 0], kind="stable")
-            p1 = apos[order, 0]
-            w1 = aw[order]
-            object.__setattr__(self, "_apos1", p1)
-            object.__setattr__(self, "_acum_signed",
-                               np.concatenate([[0.0], np.cumsum(w1)]))
-            object.__setattr__(self, "_acum_abs",
-                               np.concatenate([[0.0], np.cumsum(np.abs(w1))]))
-        else:
-            object.__setattr__(self, "_apos1", None)
-            object.__setattr__(self, "_acum_signed", None)
-            object.__setattr__(self, "_acum_abs", None)
 
         # normalize density
         if self.density is not None:
@@ -250,12 +240,20 @@ class Measure:
     # ------------------------------------------------------------------
     # ball queries
 
+    def _atom_distances(self, points) -> np.ndarray:
+        """(n, k) distances from points (n, d) to the k atoms."""
+        if self.dimension == 1:
+            return np.abs(points[:, :1] - self._apos[None, :, 0])
+        return np.linalg.norm(points[:, None, :] - self._apos[None, :, :],
+                              axis=2)
+
     def ball_masses(self, points, radii, absolute: bool = False,
                     closed: bool = False, _atom_dist=None,
                     _rows=None) -> np.ndarray:
         """Mass of per-point balls: points (n, d), radii scalar or (n,).
 
-        closed=True switches atom inclusion to the closed ball; density and
+        closed=True switches atom inclusion to the closed ball, and
+        _atom_dist passes the points' _atom_distances in; density and
         curve contributions are continuous in the radius so the flag only
         moves their measure-zero boundary cells/chords.  _rows (indices)
         returns the masses of those points only, bit for bit as in the
@@ -269,25 +267,16 @@ class Measure:
             if _atom_dist is not None:
                 _atom_dist = _atom_dist[_rows]
         out = np.zeros(len(points))
-        up_side, lo_side = _SIDES_CLOSED if closed else _SIDES_OPEN
 
         if len(self._apos):
-            if self.dimension == 1:
-                x = points[:, 0]
-                cum = self._acum_abs if absolute else self._acum_signed
-                hi = np.searchsorted(self._apos1, x + radii, side=up_side)
-                lo = np.searchsorted(self._apos1, x - radii, side=lo_side)
-                out += cum[hi] - cum[lo]
-            else:
-                D = _atom_dist
-                if D is None:
-                    D = np.linalg.norm(
-                        points[:, None, :] - self._apos[None, :, :], axis=2)
-                r = radii[:, None]
-                mask = D <= r if closed else D < r
-                w = np.abs(self._aw) if absolute else self._aw
-                # einsum, not mask @ w, as for curve chords
-                out += np.einsum("ij,j->i", mask, w)
+            D = _atom_dist
+            if D is None:
+                D = self._atom_distances(points)
+            r = radii[:, None]
+            mask = D <= r if closed else D < r
+            w = np.abs(self._aw) if absolute else self._aw
+            # einsum, not mask @ w, as for curve chords
+            out += np.einsum("ij,j->i", mask, w)
 
         if self.density is not None:
             if self.dimension == 1:
@@ -376,7 +365,7 @@ class Measure:
         c = np.asarray(as_point(center, self.dimension))
         total = 0.0
         if len(self._apos):
-            dist = np.linalg.norm(self._apos - c, axis=1)
+            dist = self._atom_distances(c[None, :])[0]
             inside = dist <= radius if closed else dist < radius
             total += float(np.sum(np.abs(self._aw[inside])))
         for pts, rho, _ in self._curve_data:
@@ -392,12 +381,10 @@ class Measure:
         """Distance from each point to the nearest atom or curve (inf if none)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         best = np.full(len(points), np.inf)
-        apos = self._apos
-        if len(apos):
-            rows = max(1, _EVENT_BLOCK // len(apos))
+        if len(self._apos):
+            rows = max(1, _EVENT_BLOCK // len(self._apos))
             for b in range(0, len(points), rows):
-                D = np.linalg.norm(points[b:b + rows, None, :] - apos[None],
-                                   axis=2)
+                D = self._atom_distances(points[b:b + rows])
                 best[b:b + rows] = D.min(axis=1)
         for pts, rho, _ in self._curve_data:
             if rho == 0.0:
@@ -477,7 +464,7 @@ class Measure:
         c = np.asarray(as_point(center, self.dimension))
         atoms = []
         if len(self._apos):
-            dist = np.linalg.norm(self._apos - c, axis=1)
+            dist = self._atom_distances(c[None, :])[0]
             for i in np.nonzero(dist < radius)[0]:
                 atoms.append((tuple(self._apos[i]), self._aw[i]))
         density = None

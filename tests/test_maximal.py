@@ -235,10 +235,7 @@ def unpruned_values_at(mu, points, rg, variant, tau=None):
     omega = UNIT_BALL_VOLUME[d]
     radii = rg.radii if variant != "Mtau" else rg.radii[rg.radii < tau]
     signed = variant == "Mbar"
-    atom_dist = None
-    if d == 2 and len(mu._apos):
-        atom_dist = np.linalg.norm(points[:, None, :] - mu._apos[None, :, :],
-                                   axis=2)
+    atom_dist = mu._atom_distances(points)
     best = np.zeros(len(points))
     for r in radii:
         m = mu.ball_masses(points, float(r), absolute=not signed,
@@ -252,16 +249,14 @@ def unpruned_values_at(mu, points, rg, variant, tau=None):
         ok &= dist < tau if variant == "Mtau" else dist <= rg.r_max
         if not np.any(ok):
             return
-        sub = atom_dist[ok] if atom_dist is not None else None
         m = mu.ball_masses(points[ok], dist[ok], absolute=not signed,
-                           closed=closed, _atom_dist=sub)
+                           closed=closed, _atom_dist=atom_dist[ok])
         if signed:
             np.abs(m, out=m)
         best[ok] = np.maximum(best[ok], m / (omega * dist[ok]**d))
 
     for j in range(len(mu._apos)):
-        event(np.abs(points[:, 0] - mu._apos[j, 0]) if d == 1
-              else atom_dist[:, j], closed=True)
+        event(atom_dist[:, j], closed=True)
     for e in mu.density_sharp_edges():
         event(np.abs(points[:, 0] - e), closed=False)
     return best, mu.singular_support_distance(points) < rg.r_min
@@ -532,31 +527,17 @@ class TestBoxBound:
 # the event path of purely atomic measures against the exact sup
 
 
-def _atom_distances(mu, x, rounded):
-    """Distances from x to the atoms: as the event path computes them, or
-    exact (squared in 2D)."""
-    if rounded:
-        diff = mu._apos - np.asarray(x, dtype=float)
-        return (np.abs(diff[:, 0]) if mu.dimension == 1
-                else np.linalg.norm(diff, axis=1)).tolist()
-    return [abs(Fraction(p[0]) - Fraction(x[0])) if mu.dimension == 1
-            else sum((Fraction(a) - Fraction(c)) ** 2 for a, c in zip(p, x))
-            for p in mu._apos.tolist()]
-
-
-def exact_atomic_sup(mu, x, rg, variant, tau=None, rounded=True):
+def exact_atomic_sup(mu, x, rg, variant, tau=None):
     """sup over r in [r_min, r_max] (r < tau for Mtau) of the ball ratio in
     exact arithmetic: the open ball at r_min and the closed ball at every
-    atom distance in range.  The distances are those the event path
-    computes, or with rounded=False the exact ones."""
+    atom distance in range, with the distances Measure computes."""
     d = mu.dimension
-    # compare powers of the distances: exact squares in 2D
-    power = 1 if rounded else d
-    dist = [Fraction(r) ** power for r in _atom_distances(mu, x, rounded)]
+    dist = [Fraction(r) for r in mu._atom_distances(
+        np.asarray(x, dtype=float).reshape(1, d))[0].tolist()]
     weights = [Fraction(w if variant == "Mbar" else abs(w))
                for w in mu._aw.tolist()]
-    lo, hi = Fraction(rg.r_min) ** power, Fraction(rg.r_max) ** power
-    top = Fraction(tau) ** power if variant == "Mtau" else None
+    lo, hi = Fraction(rg.r_min), Fraction(rg.r_max)
+    top = Fraction(tau) if variant == "Mtau" else None
     balls = [(lo, False)]
     for r in set(dist):
         if 0 < r and lo <= r and (r < top if top is not None else r <= hi):
@@ -565,27 +546,8 @@ def exact_atomic_sup(mu, x, rg, variant, tau=None, rounded=True):
     for r, closed in balls:
         mass = sum((w for w, dw in zip(weights, dist)
                     if (dw <= r if closed else dw < r)), Fraction(0))
-        best = max(best, abs(mass) / (Fraction(UNIT_BALL_VOLUME[d])
-                                      * r ** (d // power)))
+        best = max(best, abs(mass) / (Fraction(UNIT_BALL_VOLUME[d]) * r ** d))
     return best
-
-
-def rounding_decides(mu, x, rg, tau):
-    """Whether rounding the distances changes which atoms a ball around x
-    holds: the computed distances tie or swap two atoms whose exact
-    distances differ, or put an atom on the other side of r_min, tau or
-    r_max.  The field jumps within a rounding of x there."""
-    comp = _atom_distances(mu, x, rounded=True)
-    exact = _atom_distances(mu, x, rounded=False)
-    power = 1 if mu.dimension == 1 else 2
-    for i, (ci, ei) in enumerate(zip(comp, exact)):
-        if any(np.sign(ci - cj) != np.sign(ei - ej)
-               for cj, ej in zip(comp[:i], exact[:i])):
-            return True
-        if any(np.sign(ci - r) != np.sign(ei - Fraction(r) ** power)
-               for r in (rg.r_min, tau, rg.r_max)):
-            return True
-    return False
 
 
 _dyadic = st.integers(-16, 16).map(lambda k: k / 8)
@@ -663,14 +625,8 @@ class TestAtomicEvents:
                 want = exact_atomic_sup(mu, x, rg, variant, tau)
                 assert abs(Fraction(value) - want) <= Fraction(1e-12) * want, \
                     (variant, x)
-                # below the sweep only where the rounded distances hold
-                # other atoms than the exact ones, or where the sweep's
-                # rounded positions lift it above the exact sup
-                assert (value >= low * (1 - 1e-12)
-                        or rounding_decides(mu, x, rg, tau)
-                        or low > (1 + 1e-12) * exact_atomic_sup(
-                            mu, x, rg, variant, tau, rounded=False)), \
-                    (variant, x)
+                # the sweep decides membership by the same distances
+                assert value >= low * (1 - 1e-12), (variant, x)
 
     def test_cluster_matches_exact_sup(self):
         # the measure-2d atom cluster, shrunk
@@ -704,6 +660,20 @@ class TestAtomicEvents:
                                         rng.uniform(-2, 2, 9)))),
              rng.uniform(-2, 2, (301, 2))),
         ]
+        # the swept shapes: the same atoms plus a signed density and, in
+        # 2D, a curve; 2D nodes on a lattice, so that the disc rows share
+        # x across blocks
+        density_1d = Measure(1, density=(UniformGrid((-0.7,), 0.13, (11,)),
+                                         rng.uniform(-1, 1, 11)))
+        density_2d = Measure(
+            2, density=(UniformGrid((-0.5, -0.4), 0.1, (9, 8)),
+                        rng.uniform(-1, 1, (9, 8))),
+            curves=((np.array([[-1.0, 0.3], [0.2, 0.9], [1.1, -0.4]]), 0.7),))
+        nodes_2d = np.vstack([UniformGrid.cover_cells(
+            [-1.5, -1.5], [1.5, 1.5], 0.25).points(),
+            rng.uniform(-2, 2, (40, 2))])
+        cases += [(cases[0][0] + density_1d, cases[0][1]),
+                  (cases[1][0] + density_2d, nodes_2d)]
         rg = RadiusGrid.geometric(0.01, 5.0, 24)
         want = [maximal_values_at(mu, pts, rg, v, tau=0.5)
                 for mu, pts in cases for v in ("M", "Mbar", "Mtau")]
@@ -712,6 +682,20 @@ class TestAtomicEvents:
                for mu, pts in cases for v in ("M", "Mbar", "Mtau")]
         for (gv, gf), (wv, wf) in zip(got, want):
             assert np.array_equal(gv, wv) and np.array_equal(gf, wf)
+
+    def test_atom_beside_a_density_holds_its_closed_form(self):
+        # a unit atom and a far light density keep the sweep, whose closed
+        # ball at |x - a| once read the atom by the rounded position x +-
+        # |x - a| and missed it on 6 of these nodes, up to 3.3 % low
+        a = float(np.random.default_rng(1).uniform(-1, 1))
+        density = (UniformGrid((5.0,), 0.01, (10,)), np.full(10, 0.01))
+        mu = Measure(1, atoms=(((a,), 1.0),), density=density)
+        nodes = UniformGrid.cover_cells([-1.0], [1.0], 1e-3).points()
+        rg = RadiusGrid.geometric(1e-3, 10, 64)
+        got, flags = maximal_values_at(mu, nodes, rg)
+        want = 1.0 / (2.0 * np.abs(nodes[:, 0] - a))
+        assert np.count_nonzero(~flags) == 1998
+        assert np.all(got[~flags] >= want[~flags])
 
     def test_atom_pair_decay_nodes_closed_form(self):
         # the graded nodes of the atom_pair decay slice: the closed ball at

@@ -334,12 +334,16 @@ class TestExpectVocabulary:
         assert out.splitlines()[0] == _VOCABULARY[command][side][1]
 
     @pytest.mark.parametrize("command", sorted(_CHOICES))
-    def test_unknown_word_lists_the_choices(self, capsys, command):
+    def test_unknown_word_lists_the_choices(self, capsys, tmp_path, command):
+        # the word is checked before the experiment runs: no verdict block
+        # and no artifacts
+        out = tmp_path / "out"
         assert run_cli(*_cli_args(command, "persists"), "--expect",
-                       "sideways") == 1
-        assert capsys.readouterr().err == (
+                       "sideways", "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", (
             "error: unknown expectation 'sideways' "
-            f"(choices: {_CHOICES[command]})\n")
+            f"(choices: {_CHOICES[command]})\n"))
+        assert not out.exists()
 
     def test_sobolev_names_are_not_distcurve_words(self, capsys):
         assert run_cli(*_cli_args("distcurve", "fades"), "--expect",
@@ -476,6 +480,15 @@ class TestCliVerify:
         monkeypatch.setenv("MAXCHAR_SEED", "not-a-number")
         assert run_cli("verify", "--corpus-size", "1") == 1
         assert "MAXCHAR_SEED" in capsys.readouterr().err
+
+    def test_seed_env_is_read_by_verify_only(self, monkeypatch, capsys):
+        args = _cli_args("distcurve", "persists")
+        monkeypatch.delenv("MAXCHAR_SEED", raising=False)
+        assert run_cli(*args) == 0
+        want = capsys.readouterr()
+        monkeypatch.setenv("MAXCHAR_SEED", "abc")
+        assert run_cli(*args) == 0
+        assert capsys.readouterr() == want
 
     def test_bad_seed_env_in_calibration_script(self, tmp_path):
         out = tmp_path / "constants.json"
