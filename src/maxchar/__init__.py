@@ -14,8 +14,8 @@ from .bv import (AnyVectorResult, BVFunction1D, ReversePoincareResult,
                  ramp_plateau_counterexample, reverse_poincare_check)
 from .decay import (DEFAULT_DELTAS, DecayReport, TimeField, decay_quantity,
                     decay_sweep, level_integral_slice)
-from .errors import (MaxcharError, ResolutionError, SpecSchemaError,
-                     TruncationError, WindowTooSmallError)
+from .errors import (BudgetError, MaxcharError, ResolutionError,
+                     SpecSchemaError, TruncationError, WindowTooSmallError)
 from .geometry import Box, UniformGrid, ball_volume
 from .level_sets import (DECAYS, INCONCLUSIVE, PERSISTS, DistributionCurve,
                          ExperimentResult, LambdaGrid, TailVerdict,
@@ -32,11 +32,11 @@ from .verify import run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnyVectorResult", "BVFunction1D", "Box", "DECAYS", "DEFAULT_DELTAS",
-    "DecayReport", "DistributionCurve", "ExperimentResult", "GridFunction",
-    "INCONCLUSIVE", "LambdaGrid", "MaximalField", "MaxcharError", "Measure",
-    "PERSISTS", "RadiusGrid", "ResolutionError", "ReversePoincareResult",
-    "SpecSchemaError", "TailVerdict", "TimeField",
+    "AnyVectorResult", "BVFunction1D", "Box", "BudgetError", "DECAYS",
+    "DEFAULT_DELTAS", "DecayReport", "DistributionCurve", "ExperimentResult",
+    "GridFunction", "INCONCLUSIVE", "LambdaGrid", "MaximalField",
+    "MaxcharError", "Measure", "PERSISTS", "RadiusGrid", "ResolutionError",
+    "ReversePoincareResult", "SpecSchemaError", "TailVerdict", "TimeField",
     "TruncationError", "UniformGrid", "WindowTooSmallError",
     "any_vector_penalty_check", "ball_volume",
     "decay_quantity", "decay_sweep", "derivative_measure",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -292,7 +292,7 @@ def ramp_plateau_counterexample(n: int) -> BVFunction1D:
 # derivative as a measure
 
 
-def derivative_measure(f: BVFunction1D, cells: Optional[int] = None) -> Measure:
+def derivative_measure(f: BVFunction1D) -> Measure:
     """Df as a Measure: jump part as atoms (exact), affine part resampled as
     a cell density.  Per-cell integrals of the density match the slope data
     exactly; localization of slope boundaries is O(cell width).
@@ -301,10 +301,9 @@ def derivative_measure(f: BVFunction1D, cells: Optional[int] = None) -> Measure:
     density = None
     if f._bp.size and np.any(f._sl != 0.0):
         lo, hi = float(f._bp[0]), float(f._bp[-1])
-        if cells is None:
-            spans = np.diff(f._bp)
-            cells = int(min(4096, max(256, 8 * math.ceil(
-                (hi - lo) / max(spans.min(), 1e-9)))))
+        spans = np.diff(f._bp)
+        cells = int(min(4096, max(256, 8 * math.ceil(
+            (hi - lo) / max(spans.min(), 1e-9)))))
         grid = UniformGrid.cover_cells([lo], [hi], (hi - lo) / cells)
         h = grid.spacing
         edges = grid.origin[0] - 0.5 * h + h * np.arange(grid.extents[0] + 1)
@@ -312,19 +311,3 @@ def derivative_measure(f: BVFunction1D, cells: Optional[int] = None) -> Measure:
         density = (grid, np.diff(cumulative) / h)
     return Measure(1, atoms=atoms, density=density)
 
-
-def from_derivative(mu: Measure, initial_value: float = 0.0) -> BVFunction1D:
-    """Primitive of a 1D measure: atoms become jumps, density cells slopes."""
-    if mu.dimension != 1:
-        raise ValueError("primitive only defined in d = 1")
-    jumps = tuple((p[0], w) for p, w in mu.atoms)
-    breakpoints: tuple = ()
-    slopes: tuple = ()
-    if mu.density is not None:
-        grid, values = mu.density
-        h = grid.spacing
-        edges = grid.origin[0] - 0.5 * h + h * np.arange(grid.extents[0] + 1)
-        breakpoints = tuple(edges)
-        slopes = tuple(np.asarray(values, dtype=float))
-    return BVFunction1D(breakpoints=breakpoints, slopes=slopes, jumps=jumps,
-                        initial_value=initial_value)

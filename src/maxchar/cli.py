@@ -96,16 +96,11 @@ _INT_KEYS = frozenset({"radii", "corpus_size"})
 
 
 def _coerce(name: str, value, path):
-    if name in _PATH_KEYS:
+    if name in _PATH_KEYS or name in _STR_KEYS:
         if not isinstance(value, str):
             raise SpecSchemaError(f"config key '{name}' must be a string",
                                   path=path)
-        return Path(value)
-    if name in _STR_KEYS:
-        if not isinstance(value, str):
-            raise SpecSchemaError(f"config key '{name}' must be a string",
-                                  path=path)
-        return value
+        return Path(value) if name in _PATH_KEYS else value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecSchemaError(f"config key '{name}' must be a number",
                               path=path)

@@ -152,25 +152,15 @@ def flow_corpus():
 
 
 def random_atomic(rng: np.random.Generator, dimension: int = 1,
-                  max_atoms: int = 5, span: float = 2.0,
-                  weight_range=(0.1, 3.0), signed: bool = False,
-                  min_separation: float = 0.0) -> Measure:
+                  max_atoms: int = 5,
+                  weight_range=(0.1, 3.0)) -> Measure:
+    """1 to max_atoms positive atoms, uniform on [-2, 2]^d."""
     k = int(rng.integers(1, max_atoms + 1))
-    locs = []
-    tries = 0
-    while len(locs) < k and tries < 200:
-        cand = rng.uniform(-span, span, dimension)
-        tries += 1
-        if min_separation > 0 and any(
-                np.linalg.norm(cand - np.asarray(p)) < min_separation
-                for p in locs):
-            continue
-        locs.append(tuple(float(c) for c in cand))
-    weights = rng.uniform(weight_range[0], weight_range[1], len(locs))
-    if signed:
-        weights = weights * rng.choice([-1.0, 1.0], len(locs))
-    atoms = tuple((p, float(w)) for p, w in zip(locs, weights))
-    return Measure(dimension, atoms=atoms)
+    locs = [tuple(float(c) for c in rng.uniform(-2.0, 2.0, dimension))
+            for _ in range(k)]
+    weights = rng.uniform(weight_range[0], weight_range[1], k)
+    return Measure(dimension,
+                   atoms=tuple((p, float(w)) for p, w in zip(locs, weights)))
 
 
 def random_measure(rng: np.random.Generator, dimension: int = 1) -> Measure:

@@ -34,3 +34,7 @@ class TruncationError(MaxcharError):
 
 class ResolutionError(MaxcharError):
     """Spatial or radius resolution cannot resolve the requested clip level."""
+
+
+class BudgetError(MaxcharError):
+    """An evaluation grid would hold more nodes than the fixed budget."""

@@ -121,17 +121,12 @@ class UniformGrid:
         c0, c1 = np.meshgrid(self.axis(0), self.axis(1), indexing="ij")
         return np.column_stack([c0.ravel(), c1.ravel()])
 
-    def node_box(self) -> Box:
-        lo = self.origin
-        hi = tuple(self.origin[k] + self.spacing * (self.extents[k] - 1)
-                   for k in range(self.dimension))
-        return Box(lo, hi)
-
     def cell_box(self) -> Box:
         """Box covered by the cells (nodes padded by half a spacing)."""
         half = 0.5 * self.spacing
-        nb = self.node_box()
-        return Box(tuple(c - half for c in nb.lo), tuple(c + half for c in nb.hi))
+        return Box(tuple(c - half for c in self.origin),
+                   tuple(c + self.spacing * (n - 1) + half
+                         for c, n in zip(self.origin, self.extents)))
 
     @classmethod
     def cover_cells(cls, lo, hi, spacing: float) -> "UniformGrid":

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ResolutionError, TruncationError
+from .errors import BudgetError, ResolutionError, TruncationError
 from .geometry import Box, UniformGrid, ball_volume
 from .maximal import MaximalField, RadiusGrid, maximal_field, \
     oscillation_field
@@ -240,7 +240,37 @@ def evaluation_window(mu: Measure, lam_min: float) -> Box:
 def evaluation_grid(mu: Measure, lam_min: float,
                     spacing: float) -> UniformGrid:
     window = evaluation_window(mu, lam_min)
-    return UniformGrid.cover_cells(window.lo, window.hi, spacing)
+    return _window_grid(window.lo, window.hi, spacing)
+
+
+# the most nodes an evaluation grid may hold: 32 times the largest grid of
+# the tests, specs, verify and benchmark workloads (65,536 nodes)
+_GRID_NODE_BUDGET = 1 << 21
+
+
+def _window_nodes(lo, hi, spacing: float) -> float:
+    """Node count of UniformGrid.cover_cells(lo, hi, spacing), found
+    without building the grid (inf past the float range)."""
+    spans = ((b - a) / spacing for a, b in zip(lo, hi))
+    return math.prod(float(max(1, round(s))) if math.isfinite(s)
+                     else math.inf for s in spans)
+
+
+def _window_grid(lo, hi, spacing: float) -> UniformGrid:
+    nodes = _window_nodes(lo, hi, spacing)
+    if nodes > _GRID_NODE_BUDGET:
+        box = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
+        raise BudgetError(f"evaluation window {box} at h={spacing:g} holds "
+                          f"about {nodes:.3g} nodes, over {_GRID_NODE_BUDGET}")
+    return UniformGrid.cover_cells(lo, hi, spacing)
+
+
+def _level_floor(lam_max: float, decades: float) -> float:
+    """lam_max / 10^decades, at least the smallest float, never overflowing."""
+    try:
+        return max(lam_max / 10.0 ** decades, math.ulp(0.0))
+    except OverflowError:
+        return math.ulp(0.0)
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +308,7 @@ def distribution_experiment(mu: Measure, variant: str = "M",
         return ExperimentResult(fld, curve, verdict)
     if lam_max is None:
         lam_max = total / (ball_volume(d, 1.0) * (5.0 * h) ** d)
-    lam_min = lam_max / 10.0 ** lambda_decades
+    lam_min = _level_floor(lam_max, lambda_decades)
     grid = evaluation_grid(mu, lam_min, h)
     rg = RadiusGrid.geometric(h, 1.2 * grid.cell_box().diameter(),
                               radii_per_decade)
@@ -308,7 +338,7 @@ def sobolev_experiment(f, h: float = 1e-3, radii_per_decade: int = 48,
     """
     r_min = 4.0 * h
     lam_max = 1.0 / (4.0 * r_min)
-    lam_min = lam_max / 10.0 ** lambda_decades
+    lam_min = _level_floor(lam_max, lambda_decades)
     lo, hi = f.support_span()
     if hi <= lo:
         hi = lo + 1.0
@@ -322,7 +352,7 @@ def sobolev_experiment(f, h: float = 1e-3, radii_per_decade: int = 48,
     if tail > 1e-12:
         m_right = 1.05 * max(base, math.sqrt(l1 / lam_min),
                              tv / (4.0 * lam_min))
-    grid = UniformGrid.cover_cells([lo - m_left], [hi + m_right], h)
+    grid = _window_grid([lo - m_left], [hi + m_right], h)
     gf = GridFunction(grid, f.value(grid.axis(0)) - shift)
     rg = RadiusGrid.geometric(r_min, 1.2 * grid.cell_box().diameter(),
                               radii_per_decade)

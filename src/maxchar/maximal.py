@@ -13,7 +13,8 @@ from above).  Such a measure takes its values from these event radii
 alone: each node's atom distances are sorted once, the (signed) weights
 summed in that order and read at the last atom of each tie group.  The
 values are exact to rounding, with membership decided by the computed
-distances, never by rounded positions x +- r.
+distances, never by rounded positions x +- r.  Every kernel takes the
+distances from one pass per row block, which also gives the flags.
 
 A measure with a density or a curve takes its event radii first: the
 exact distances to each atom (as the closed-ball limit, which holds the
@@ -152,9 +153,10 @@ def _support_gap(mu: Measure, points: np.ndarray) -> np.ndarray:
 
 
 def _atomic_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
-                   signed: bool, tau: Optional[float]) -> np.ndarray:
+                   signed: bool, tau: Optional[float],
+                   dist: np.ndarray) -> np.ndarray:
     """Exact sup over r in [r_min, r_max] (r < tau when tau is given) of a
-    purely atomic measure's ball ratios.
+    purely atomic measure's ball ratios at points with atom distances dist.
 
     The ball mass is constant between consecutive atom distances, so the
     sup is the open ball at r_min or the closed ball at an atom distance.
@@ -165,7 +167,6 @@ def _atomic_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
     omega = UNIT_BALL_VOLUME[d]
     w = mu._aw if signed else np.abs(mu._aw)
     r_min = rg.radii[0]
-    dist = mu._atom_distances(points)
     order = np.argsort(dist, axis=1, kind="stable")
     dist = np.take_along_axis(dist, order, axis=1)
     mass = np.abs(np.cumsum(w[order], axis=1))
@@ -220,14 +221,15 @@ def _box_bound(mu: Measure, points: np.ndarray,
 
 
 def _swept_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
-                  signed: bool, tau: Optional[float]) -> np.ndarray:
+                  signed: bool, tau: Optional[float],
+                  atom_dist: np.ndarray) -> np.ndarray:
     """Event radii, then the pruned sweep over the radius grid, of a
-    measure with a density or a curve (see the module docstring)."""
+    measure with a density or a curve, at points with atom distances
+    atom_dist (see the module docstring)."""
     d = mu.dimension
     omega = UNIT_BALL_VOLUME[d]
     n = len(points)
     radii = rg.radii if tau is None else rg.radii[rg.radii < tau]
-    atom_dist = mu._atom_distances(points)
     best = np.zeros(n)
 
     # event radii first, so that the sweep below starts from their values:
@@ -300,8 +302,8 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
 
     flags marks points within r_min of the singular support, where the
     truncated sup cannot chase the blow-up.  The points go in row blocks
-    of at most _EVENT_BLOCK point-atom distances; a node's value does not
-    depend on the other rows, so the blocks change no bits.
+    of at most _EVENT_BLOCK point-atom distances, shared by the flags and
+    the kernel; a node's value does not depend on the other rows.
     """
     if variant not in ("M", "Mbar", "Mtau"):
         raise ValueError(f"not a measure variant: {variant!r}")
@@ -312,14 +314,17 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
     else:
         tau = None
     signed = variant == "Mbar"
-    flags = mu.singular_support_distance(points) < rg.r_min
     k = len(mu._apos)
     atomic = k > 0 and mu.density is None and not mu.curves
     kernel = _atomic_values if atomic else _swept_values
     rows = max(1, _EVENT_BLOCK // k) if k else max(1, len(points))
-    best = np.empty(len(points))
+    best, flags = np.empty(len(points)), np.empty(len(points), dtype=bool)
     for b in range(0, len(points), rows):
-        best[b:b + rows] = kernel(mu, points[b:b + rows], rg, signed, tau)
+        block = points[b:b + rows]
+        dist = mu._atom_distances(block)
+        flags[b:b + rows] = mu.singular_support_distance(
+            block, _atom_dist=dist) < rg.r_min
+        best[b:b + rows] = kernel(mu, block, rg, signed, tau, dist)
     return best, flags
 
 
@@ -335,8 +340,9 @@ def maximal_field(mu: Measure, eval_grid: UniformGrid, rg: RadiusGrid,
                   ) -> MaximalField:
     """Node-wise maximal values over an evaluation grid.
 
-    A purely atomic measure costs O(nodes * k log k) for k atoms, from
-    event radii alone, and its values are exact.  Otherwise the event
+    One distance pass per row block, O(nodes * k) for k atoms, serves the
+    flags and the kernel.  A purely atomic measure then costs
+    O(nodes * k log k), from event radii alone, exact.  Otherwise the event
     radii come first, O(nodes * (atoms + sharp edges)) queries, and the
     sweep costs O(live pairs * query), an atom term costing O(atoms): a
     node-radius pair is live while the ball reaches the support box and

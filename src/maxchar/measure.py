@@ -108,7 +108,8 @@ class Measure:
         # whose sum overflows fail with the error below and no numpy warning
         tv = _finite_total_variation(0.0, np.abs(aw))
 
-        # normalize density
+        # normalize density; only a 1D density has sharp edges
+        object.__setattr__(self, "_sharp_edges", np.empty(0, dtype=float))
         if self.density is not None:
             grid, values = self.density
             if not isinstance(grid, UniformGrid):
@@ -161,10 +162,6 @@ class Measure:
                     np.concatenate(
                         [np.zeros((1, grid.extents[1] + 1)),
                          np.cumsum(self._drow_cum_abs, axis=0)]))
-                object.__setattr__(self, "_sharp_edges",
-                                   np.empty(0, dtype=float))
-        else:
-            object.__setattr__(self, "_sharp_edges", np.empty(0, dtype=float))
 
         # normalize curves
         curves = []
@@ -196,9 +193,6 @@ class Measure:
         for pts, rho, lens in self._curve_data:
             m += rho * float(np.sum(lens))
         return m
-
-    def is_zero(self) -> bool:
-        return self._total_variation == 0.0
 
     def density_sharp_edges(self) -> np.ndarray:
         return self._sharp_edges
@@ -241,11 +235,14 @@ class Measure:
     # ball queries
 
     def _atom_distances(self, points) -> np.ndarray:
-        """(n, k) distances from points (n, d) to the k atoms."""
+        """(n, k) distances from points (n, d) to the k atoms.  In 2D,
+        sqrt(dx * dx + dy * dy) is the sum np.linalg.norm forms, added in
+        the same order: the norm's bits at about 8 times its speed."""
+        dx = points[:, :1] - self._apos[None, :, 0]
         if self.dimension == 1:
-            return np.abs(points[:, :1] - self._apos[None, :, 0])
-        return np.linalg.norm(points[:, None, :] - self._apos[None, :, :],
-                              axis=2)
+            return np.abs(dx)
+        dy = points[:, 1:2] - self._apos[None, :, 1]
+        return np.sqrt(dx * dx + dy * dy)
 
     def ball_masses(self, points, radii, absolute: bool = False,
                     closed: bool = False, _atom_dist=None,
@@ -377,14 +374,17 @@ class Measure:
                                            np.array([radius]))[0])
         return total
 
-    def singular_support_distance(self, points) -> np.ndarray:
-        """Distance from each point to the nearest atom or curve (inf if none)."""
+    def singular_support_distance(self, points,
+                                  _atom_dist=None) -> np.ndarray:
+        """Distance from each point to the nearest atom or curve (inf if
+        none); _atom_dist passes the points' _atom_distances in."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         best = np.full(len(points), np.inf)
         if len(self._apos):
             rows = max(1, _EVENT_BLOCK // len(self._apos))
             for b in range(0, len(points), rows):
-                D = self._atom_distances(points[b:b + rows])
+                D = (self._atom_distances(points[b:b + rows])
+                     if _atom_dist is None else _atom_dist[b:b + rows])
                 best[b:b + rows] = D.min(axis=1)
         for pts, rho, _ in self._curve_data:
             if rho == 0.0:
@@ -452,9 +452,6 @@ class Measure:
         return Measure(self.dimension, atoms, density, curves)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Measure":
-        return self * -1.0
 
     # ------------------------------------------------------------------
 

@@ -268,7 +268,7 @@ def _check_stopped_scale(seed, corpus_size):
     n_measures = 20 if corpus_size is None else max(4, corpus_size)
     compared = 0
     for _ in range(n_measures):
-        mu = corpus.random_atomic(rng, 1, max_atoms=4, span=2.0,
+        mu = corpus.random_atomic(rng, 1, max_atoms=4,
                                   weight_range=(0.5, 2.0))
         total = mu.total_variation()
         for tau in (0.1, 0.5):

@@ -7,7 +7,6 @@ from maxchar.bv import (
     BVFunction1D,
     any_vector_penalty_check,
     derivative_measure,
-    from_derivative,
     ramp_plateau_counterexample,
     reverse_poincare_check,
 )
@@ -213,19 +212,19 @@ class TestDerivative:
         # signed mass over half-lines recovers the slopes
         assert mu.ball_mass([-0.5], 0.5) == pytest.approx(1.0, rel=1e-12)
 
-    def test_round_trip_reproduces_values(self):
-        f = ramp_plateau_counterexample(4)
-        g = from_derivative(derivative_measure(f), initial_value=-1.0)
-        xs = np.linspace(-1.5, 1.5, 401)
-        np.testing.assert_allclose(g.value(xs), f.value(xs), atol=5e-3)
-        assert g.total_variation() == pytest.approx(2.0, rel=1e-12)
-
-    def test_round_trip_with_jumps(self):
-        g = from_derivative(derivative_measure(step()))
-        assert g.value(0.5) == pytest.approx(1.0)
-        assert g.value(1.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_from_derivative_rejects_2d(self):
-        from maxchar.measure import unit_atom
-        with pytest.raises(ValueError, match="d = 1"):
-            from_derivative(unit_atom([0.0, 0.0], dimension=2))
+    def test_atoms_are_jumps_and_cells_are_increments(self):
+        f = BVFunction1D(breakpoints=(-1.0, -0.3, 0.4, 1.0),
+                         slopes=(2.0, -1.0, 0.5),
+                         jumps=((0.1, 0.7), (-0.6, -0.25)),
+                         initial_value=-1.0)
+        mu = derivative_measure(f)
+        assert mu.atoms == (((-0.6,), -0.25), ((0.1,), 0.7))
+        grid, values = mu.density
+        h = grid.spacing
+        edges = grid.origin[0] - 0.5 * h + h * np.arange(grid.extents[0] + 1)
+        # f is right-continuous: a cell (a, b] gains the jumps inside it
+        jumps = np.array([sum(j for x, j in f.jumps if x <= e)
+                          for e in edges])
+        np.testing.assert_allclose(values * h,
+                                   np.diff(f.value(edges) - jumps),
+                                   rtol=0, atol=1e-12)

@@ -672,8 +672,13 @@ class TestAtomicEvents:
         nodes_2d = np.vstack([UniformGrid.cover_cells(
             [-1.5, -1.5], [1.5, 1.5], 0.25).points(),
             rng.uniform(-2, 2, (40, 2))])
+        curve_2d = Measure(2, curves=density_2d.curves)
         cases += [(cases[0][0] + density_1d, cases[0][1]),
-                  (cases[1][0] + density_2d, nodes_2d)]
+                  (cases[1][0] + density_2d, nodes_2d),
+                  (cases[1][0] + curve_2d, nodes_2d),
+                  (curve_2d, nodes_2d),
+                  (density_1d, cases[0][1]),
+                  (Measure(2, density=density_2d.density), nodes_2d)]
         rg = RadiusGrid.geometric(0.01, 5.0, 24)
         want = [maximal_values_at(mu, pts, rg, v, tau=0.5)
                 for mu, pts in cases for v in ("M", "Mbar", "Mtau")]
@@ -682,6 +687,41 @@ class TestAtomicEvents:
                for mu, pts in cases for v in ("M", "Mbar", "Mtau")]
         for (gv, gf), (wv, wf) in zip(got, want):
             assert np.array_equal(gv, wv) and np.array_equal(gf, wf)
+        # the flags are the block-free support distances below r_min
+        for i, (mu, pts) in enumerate(cases):
+            near = mu.singular_support_distance(pts) < rg.r_min
+            for _, gf in got[3 * i:3 * i + 3]:
+                assert np.array_equal(gf, near)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    def test_one_distance_pass_per_row_block(self, monkeypatch, block):
+        # flags and kernel share each row block's point-atom distances,
+        # and no block holds more than _EVENT_BLOCK of them (one row at
+        # least)
+        rng = np.random.default_rng(8)
+        atoms = Measure(2, atoms=tuple((tuple(p), 1.0) for p in
+                                       rng.uniform(-1, 1, (5, 2))))
+        density = Measure(2, density=(UniformGrid((-0.5, -0.4), 0.1, (9, 8)),
+                                      rng.uniform(0, 1, (9, 8))))
+        points = rng.uniform(-2, 2, (53, 2))
+        rg = RadiusGrid.geometric(0.01, 5.0, 24)
+        sizes = []
+        original = Measure._atom_distances
+
+        def counted(self, pts):
+            dist = original(self, pts)
+            sizes.append(dist.size)
+            return dist
+
+        monkeypatch.setattr(Measure, "_atom_distances", counted)
+        monkeypatch.setattr(maximal, "_EVENT_BLOCK", block)
+        for mu in (atoms, atoms + density, density):
+            k = len(mu.atoms)
+            rows = max(1, block // k) if k else len(points)
+            sizes.clear()
+            maximal_values_at(mu, points, rg, "M")
+            assert len(sizes) == -(-len(points) // rows)
+            assert max(sizes) <= max(block, k)
 
     def test_atom_beside_a_density_holds_its_closed_form(self):
         # a unit atom and a far light density keep the sweep, whose closed

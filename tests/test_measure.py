@@ -19,8 +19,7 @@ class TestAtoms:
         mu = Measure(1, atoms=(((0.0,), 2.0), ((1.0,), -0.5)))
         assert mu.total_variation() == 2.5
         assert mu.total_mass() == 1.5
-        assert not mu.is_zero()
-        assert Measure(1).is_zero()
+        assert Measure(1).total_variation() == 0
 
     def test_open_ball_convention(self):
         mu = unit_atom(1.0)
@@ -241,6 +240,23 @@ class TestDiskDensityRuns:
                                       want.view(np.int64))
 
 
+@st.composite
+def atom_distance_queries(draw):
+    """A 2D atomic measure at a scale from 1e-150 to 1e150, with random
+    points and points on or one ulp from an atom."""
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    apos = rng.uniform(-1, 1, (k, 2)) * scale
+    mu = Measure(2, atoms=tuple((tuple(p), 1.0) for p in apos))
+    up = np.nextafter(apos, np.inf)
+    down = np.nextafter(apos, -np.inf)
+    points = np.vstack([rng.uniform(-2, 2, (8, 2)) * scale, apos, up,
+                        np.column_stack([up[:, 0], apos[:, 1]]),
+                        np.column_stack([apos[:, 0], down[:, 1]])])
+    return mu, points
+
+
 class TestSupportAndSingular:
     def test_support_box_pads_density_cells(self):
         mu = box_density(0.0, 1.0, 10)
@@ -257,6 +273,22 @@ class TestSupportAndSingular:
         assert np.allclose(d, [0.5, 2.0])
         assert np.isinf(box_density(0.0, 1.0, 4).singular_support_distance(
             np.array([[0.0]]))[0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(atom_distance_queries())
+    def test_2d_atom_distances_are_the_norm_bit_for_bit(self, query):
+        mu, points = query
+        want = np.linalg.norm(points[:, None, :] - mu._apos[None, :, :],
+                              axis=2)
+        got = mu._atom_distances(points)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_atom_distances_of_no_atoms_are_empty(self):
+        mu = Measure(2, density=(UniformGrid((0.0, 0.0), 0.5, (2, 2)),
+                                 np.ones((2, 2))))
+        assert mu._atom_distances(np.zeros((3, 2))).shape == (3, 0)
+        assert np.all(np.isinf(mu.singular_support_distance(
+            np.zeros((3, 2)), _atom_dist=np.empty((3, 0)))))
 
     @pytest.mark.parametrize("block", [1, 3, 7, 64])
     def test_row_blocks_do_not_change_bits(self, monkeypatch, block):
@@ -292,7 +324,7 @@ class TestAlgebra:
         mu = box_density(0.0, 1.0, 8) + unit_atom(2.0)
         assert (3.0 * mu).total_variation() == pytest.approx(
             3.0 * mu.total_variation())
-        assert (-mu).total_mass() == pytest.approx(-mu.total_mass())
+        assert (mu * -1.0).total_mass() == pytest.approx(-mu.total_mass())
 
     def test_mollified_density_normalization(self):
         mu = unit_atom(0.0)

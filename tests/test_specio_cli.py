@@ -12,7 +12,7 @@ from maxchar.bv import BVFunction1D
 from maxchar.cli import main
 from maxchar.decay import DecayReport, TimeField
 from maxchar.errors import SpecSchemaError
-from maxchar.geometry import Box
+from maxchar.geometry import Box, UniformGrid
 from maxchar.level_sets import PERSISTS, DistributionCurve, TailVerdict
 from maxchar.measure import Measure
 from maxchar.specio import (
@@ -165,6 +165,29 @@ class TestWriters:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+class TestGridBudgetCli:
+    @pytest.mark.parametrize("decades, window", [
+        ("400", "evaluation window [-inf, inf] at h=0.001 holds about inf"),
+        ("8", "evaluation window [-"),
+    ])
+    @pytest.mark.parametrize("command, spec", [("distcurve", "unit_atom"),
+                                               ("sobolev", "tent")])
+    def test_lambda_decades_past_the_budget(self, monkeypatch, capsys,
+                                            command, spec, decades, window):
+        # the grid is never built: its construction fails the test
+        def built(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(UniformGrid, "cover_cells", built)
+        code = run_cli(command, "--input", str(SPECS / f"{spec}.json"),
+                       "--lambda-decades", decades)
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: " + window)
+        assert "h=0.001" in err
 
 
 class TestCliExitCodes:
