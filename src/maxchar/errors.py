@@ -37,4 +37,5 @@ class ResolutionError(MaxcharError):
 
 
 class BudgetError(MaxcharError):
-    """An evaluation grid would hold more nodes than the fixed budget."""
+    """An input would take more nodes or radii than the fixed budgets
+    allow, or levels outside the float range."""

@@ -307,7 +307,13 @@ def distribution_experiment(mu: Measure, variant: str = "M",
         verdict = tail_verdict(curve, threshold if threshold else 1e-12)
         return ExperimentResult(fld, curve, verdict)
     if lam_max is None:
-        lam_max = total / (ball_volume(d, 1.0) * (5.0 * h) ** d)
+        try:
+            lam_max = total / (ball_volume(d, 1.0) * (5.0 * h) ** d)
+        except (OverflowError, ZeroDivisionError):
+            lam_max = 0.0  # (5h)^d past the float range: rejected below
+        if not 0 < lam_max < math.inf:
+            raise BudgetError(f"h={h:g} puts the top level |mu| / (omega_d "
+                              f"(5h)^{d}) out of the float range")
     lam_min = _level_floor(lam_max, lambda_decades)
     grid = evaluation_grid(mu, lam_min, h)
     rg = RadiusGrid.geometric(h, 1.2 * grid.cell_box().diameter(),

@@ -47,7 +47,13 @@ split once into maximal monotone runs; inside a run {v > m} is one
 contiguous block, so a window of W nodes costs O(runs * log n) instead of
 O(W).  A radius whose windows are at most 16 nodes per run wide scans them
 directly instead, which is cheaper there, and serves noisy input with many
-runs.
+runs.  Each window width K is computed once, at the smallest radius with
+that K: a larger radius with the same K has the same windows over fewer
+admitted centres and divides by more.  Only centres whose window meets the
+span from the first to the last nonzero sample are computed; a window in a
+zero pad has mean and deviation exactly 0.  So the field costs
+O(m * runs * log n) per distinct K, m the count of those centres, with the
+bits of the loop over every radius and every centre.
 """
 
 from __future__ import annotations
@@ -59,11 +65,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import WindowTooSmallError
+from .errors import BudgetError, WindowTooSmallError
 from .geometry import UNIT_BALL_VOLUME, UniformGrid
 from .measure import _EVENT_BLOCK, GridFunction, Measure
 
 VARIANTS = ("M", "Mbar", "Mtau", "A")
+
+# the most radii a geometric grid may hold: about 32 times the largest grid
+# of the tests, specs, verify and benchmark workloads (501 radii)
+_RADIUS_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,14 @@ class RadiusGrid:
         if not (0 < r_min < r_max):
             raise ValueError(f"bad radius range [{r_min}, {r_max}]")
         decades = math.log10(r_max / r_min)
-        count = max(2, int(math.ceil(per_decade * decades)) + 1)
+        try:
+            count = max(2, int(math.ceil(per_decade * decades)) + 1)
+        except OverflowError:
+            count = math.inf
+        if count > _RADIUS_BUDGET:
+            raise BudgetError(f"{per_decade} radii per decade over "
+                              f"[{r_min:g}, {r_max:g}] make {count:.3g} "
+                              f"radii, over {_RADIUS_BUDGET}")
         return cls(np.geomspace(r_min, r_max, count))
 
 
@@ -501,8 +518,10 @@ def _oscillation_field_1d(f: GridFunction, rg: RadiusGrid,
     h = f.grid.spacing
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
     runs = _monotone_runs(vals)
+    nonzero = np.flatnonzero(vals)
     best = np.zeros(n)
     admitted = np.zeros(n, dtype=bool)
+    last_K = 0
     for r in rg.radii:
         K = _node_window(r, h)
         i_lo = max(K, _span_margin(r, h))
@@ -510,8 +529,14 @@ def _oscillation_field_1d(f: GridFunction, rg: RadiusGrid,
         if i_lo > i_hi:
             continue
         admitted[i_lo:i_hi + 1] = True
-        if K == 0:
-            continue  # single-node window, deviation 0
+        if K == last_K or nonzero.size == 0:
+            # K = 0 has deviation 0; a repeated K has the previous radius's
+            # windows over fewer centres and a smaller dev / r
+            continue
+        last_K = K
+        # a window wholly inside a zero pad has mean and deviation 0
+        i_lo = max(i_lo, int(nonzero[0]) - K)
+        i_hi = min(i_hi, int(nonzero[-1]) + K)
         W = 2 * K + 1
         centers = np.arange(i_lo, i_hi + 1)
         means = (prefix[centers + K + 1] - prefix[centers - K]) / W
@@ -532,8 +557,9 @@ def oscillation_field(f: GridFunction, rg: RadiusGrid) -> MaximalField:
     """A f at every node of a 1D grid function.  Nodes where all radii were
     skipped carry value 0 and a flag.
 
-    A radius costs O(n * runs * log n) on n samples with few monotone runs
-    and O(n * W) on noisy ones (see the module docstring)."""
+    A distinct window width K costs O(m * runs * log n) on n samples with
+    few monotone runs and O(m * W) on noisy ones, m <= n the centres whose
+    window meets the nonzero samples (see the module docstring)."""
     _require_1d(f)
     best, flags = _oscillation_field_1d(f, rg)
     return MaximalField(f.grid, best.reshape(f.grid.extents), "A", rg,

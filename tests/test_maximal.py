@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxchar import corpus, decay, maximal
-from maxchar.errors import WindowTooSmallError
+from maxchar.errors import BudgetError, WindowTooSmallError
 from maxchar.geometry import UNIT_BALL_VOLUME, UniformGrid
-from maxchar.maximal import (RadiusGrid, _monotone_runs,
-                             _oscillation_field_1d, maximal_field,
+from maxchar.maximal import (_RUN_PATH_WIDTH, RadiusGrid, _monotone_runs,
+                             _node_window, _oscillation_field_1d,
+                             _run_deviations, _span_margin,
+                             _window_deviations, maximal_field,
                              maximal_point, maximal_values_at,
                              oscillation_field, oscillation_point)
 from maxchar.measure import GridFunction, Measure, unit_atom
@@ -22,6 +24,15 @@ class TestRadiusGrid:
         assert rg.r_min == pytest.approx(0.1)
         assert rg.r_max == pytest.approx(10.0)
         assert rg.count == 21
+
+    def test_count_past_the_budget(self, monkeypatch):
+        # 10^9 per decade over 4 decades: raised before np.geomspace runs
+        def allocated(*args):
+            raise AssertionError("radii allocated")
+
+        monkeypatch.setattr(np, "geomspace", allocated)
+        with pytest.raises(BudgetError, match="4e\\+09 radii, over 16384"):
+            RadiusGrid.geometric(1e-3, 10.0, 10**9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -226,6 +237,115 @@ class TestOscillationRunPath:
         expect = max(K * (K + 1) / (2 * K + 1) / (K + 1.0)
                      for K in range(1, 11))
         assert runs[0][i] == pytest.approx(expect, rel=1e-14)
+
+
+# ----------------------------------------------------------------------
+# the pruned oscillation field against the full loop
+
+
+def _oscillation_field_reference(f, rg, path=None):
+    """_oscillation_field_1d without its pruning: every radius, every
+    admitted centre, the zero pads included."""
+    vals = f.values
+    n = len(vals)
+    h = f.grid.spacing
+    prefix = np.concatenate([[0.0], np.cumsum(vals)])
+    runs = _monotone_runs(vals)
+    best = np.zeros(n)
+    admitted = np.zeros(n, dtype=bool)
+    for r in rg.radii:
+        K = _node_window(r, h)
+        i_lo = max(K, _span_margin(r, h))
+        i_hi = n - 1 - i_lo
+        if i_lo > i_hi:
+            continue
+        admitted[i_lo:i_hi + 1] = True
+        if K == 0:
+            continue
+        W = 2 * K + 1
+        centers = np.arange(i_lo, i_hi + 1)
+        means = (prefix[centers + K + 1] - prefix[centers - K]) / W
+        if path is None:
+            use_runs = W > _RUN_PATH_WIDTH * len(runs)
+        else:
+            use_runs = path == "runs"
+        if use_runs:
+            dev = _run_deviations(prefix, runs, i_lo, K, means)
+        else:
+            dev = _window_deviations(vals, i_lo, K, means)
+        out = slice(i_lo, i_hi + 1)
+        np.maximum(best[out], dev / r, out=best[out])
+    return best, ~admitted
+
+
+@st.composite
+def zero_padded_samples(draw):
+    """Piecewise-affine samples with zero pads on neither, one or both
+    sides, interior zero plateaus and a nonzero constant right tail; one
+    draw in ten has no nonzero sample."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return np.zeros(draw(st.integers(min_value=1, max_value=80)))
+    body = draw(piecewise_affine_samples())
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(body)))
+        plateau = draw(st.integers(min_value=1, max_value=30))
+        body = np.insert(body, at, np.zeros(plateau))
+    tail = np.full(draw(st.integers(min_value=0, max_value=30)),
+                   draw(st.sampled_from([1.0, -0.3, 1e-3, 7.25])))
+    pad = st.one_of(st.just(0), st.integers(min_value=1, max_value=40))
+    return np.concatenate([np.zeros(draw(pad)), body, tail,
+                           np.zeros(draw(pad))])
+
+
+def assert_same_bits(got, expect):
+    assert np.array_equal(got[0].view(np.uint64), expect[0].view(np.uint64))
+    assert np.array_equal(got[1], expect[1])
+
+
+class TestOscillationPruning:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(zero_padded_samples(), st.sampled_from([0.01, 0.37, 1.0]),
+           st.floats(min_value=0.05, max_value=3.0),
+           st.floats(min_value=4.0, max_value=150.0),
+           st.integers(min_value=2, max_value=160),
+           st.lists(st.integers(min_value=1, max_value=60), max_size=4))
+    def test_matches_the_full_loop_bit_for_bit(self, samples, h, bottom, top,
+                                               count, multiples):
+        grid = UniformGrid((0.0,), h, (len(samples),))
+        f = GridFunction(grid, samples)
+        # radii from below h (K = 0) up, often closer than h (repeated K),
+        # and exact multiples of h
+        radii = np.concatenate([np.geomspace(bottom * h, top * h, count),
+                                h * np.asarray(multiples, float)])
+        rg = RadiusGrid(np.unique(radii))
+        for path in (None, "runs", "window"):
+            assert_same_bits(_oscillation_field_1d(f, rg, path=path),
+                             _oscillation_field_reference(f, rg, path=path))
+
+    def test_one_pass_per_window_width_over_the_nonzero_span(self,
+                                                             monkeypatch):
+        f = tent_function(h=0.01, pad=1.0)
+        nonzero = np.flatnonzero(f.values)
+        rg = RadiusGrid.geometric(0.005, 0.9, 96)
+        widths = []
+
+        def counted(prefix, runs, i_lo, K, means):
+            widths.append(K)
+            # only centres whose window meets the nonzero span
+            assert i_lo >= nonzero[0] - K
+            assert i_lo + len(means) - 1 <= nonzero[-1] + K
+            return _run_deviations(prefix, runs, i_lo, K, means)
+
+        monkeypatch.setattr(maximal, "_run_deviations", counted)
+        got = _oscillation_field_1d(f, rg, path="runs")
+        n = len(f.values)
+        computed = [_node_window(r, 0.01) for r in rg.radii
+                    if 2 * max(_node_window(r, 0.01),
+                               _span_margin(r, 0.01)) <= n - 1]
+        assert widths == sorted(set(computed) - {0})
+        assert len(widths) < len(computed)
+        monkeypatch.undo()
+        assert_same_bits(got, _oscillation_field_reference(f, rg, "runs"))
 
 
 def unpruned_values_at(mu, points, rg, variant, tau=None):

@@ -189,6 +189,21 @@ class TestGridBudgetCli:
         assert err.count("\n") == 1 and err.startswith("error: " + window)
         assert "h=0.001" in err
 
+    @pytest.mark.parametrize("h", ["1e200", "1e-200"])
+    def test_2d_h_past_the_float_range(self, monkeypatch, capsys, h):
+        # (5h)^2 overflows at 1e200 and underflows to 0 at 1e-200
+        def built(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(UniformGrid, "cover_cells", built)
+        code = run_cli("distcurve", "--input",
+                       str(SPECS / "square_2d.json"), "--h", h)
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: h={float(h):g} puts the top level")
+
 
 class TestCliExitCodes:
     def test_conclusive_match(self, capsys):
