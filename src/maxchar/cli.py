@@ -105,7 +105,8 @@ def _coerce(name: str, value, path):
         raise SpecSchemaError(f"config key '{name}' must be a number",
                               path=path)
     if name in _INT_KEYS:
-        if int(value) != value:
+        # inf and nan are floats that are not integers
+        if isinstance(value, float) and not value.is_integer():
             raise SpecSchemaError(f"config key '{name}' must be an integer",
                                   path=path)
         return int(value)

@@ -6,22 +6,23 @@ Variants:
   Mtau  as M but restricted to radii r < tau
   A     sup_r (1/r) avg_{B(x,r)} |f - mean_{B(x,r)} f|   (on 1D grid functions)
 
-r runs over [r_min, r_max] of a radius grid.  On a purely atomic measure
-the ball mass is constant between consecutive atom distances, so the sup
-is the open ball at r_min or the closed ball at an atom distance (the limit
-from above).  Such a measure takes its values from these event radii
-alone: each node's atom distances are sorted once, the (signed) weights
-summed in that order and read at the last atom of each tie group.  The
-values are exact to rounding, with membership decided by the computed
-distances, never by rounded positions x +- r.  Every kernel takes the
-distances from one pass per row block, which also gives the flags.
+r runs over [r_min, r_max] of a radius grid.  Every measure takes its atom
+part from one rule: each node's atom distances are sorted once per row
+block (the pass that also gives the flags) and the (signed) weights summed
+in that order, so the closed ball at an atom distance is read at the last
+atom of its tie group and the open ball at r at the count of distances
+below r.  Membership is decided by the computed distances, never by
+rounded positions x +- r.  Only the atom-free rest, the density and the
+curves, is queried through Measure.ball_masses.
 
-A measure with a density or a curve takes its event radii first: the
-exact distances to each atom (as the closed-ball limit, which holds the
-atom, since every ball query decides membership by the same computed
-distances) and to each sharp density edge.  A sweep over the geometric
-radius grid then raises these values.  The result is a lower bound of the
-true supremum, nondecreasing under radius-grid refinement.
+On a purely atomic measure the ball mass is constant between consecutive
+atom distances, so the sup is the open ball at r_min or the closed ball at
+an atom distance (the limit from above), exact to rounding.  A measure
+with a density or a curve takes these event radii first, with the rest's
+mass added in the same closed ball, then the sharp density edges (open).
+A sweep over the geometric radius grid then raises these values.  The
+result is a lower bound of the true supremum, nondecreasing under
+radius-grid refinement.
 
 The sweep runs the radii in increasing order and queries, at each radius,
 only the live nodes, whose ball can still raise their running supremum:
@@ -31,7 +32,7 @@ three variants.  Since that bound falls with r, a node past it stays past
 it, and the sweep stops once every ball reaches the box and no node is
 live.  A 2D measure with a density also skips a live node at one radius
 when its running value reaches B / (omega_d r^d), where B bounds the
-absolute ball mass: the |atoms| closer than r, the |density| of the cells
+absolute ball mass: the |atom part| at r, the |density| of the cells
 whose centres lie in the square [x +- r]^2 (from a summed-area table) and
 the |curve| total.  B is not monotone in r, so it skips that radius only
 and never stops the sweep.  Taking the event radii first lets both tests
@@ -169,43 +170,31 @@ def _support_gap(mu: Measure, points: np.ndarray) -> np.ndarray:
                                       0.0), axis=1)
 
 
-def _atomic_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
-                   signed: bool, tau: Optional[float],
-                   dist: np.ndarray) -> np.ndarray:
-    """Exact sup over r in [r_min, r_max] (r < tau when tau is given) of a
-    purely atomic measure's ball ratios at points with atom distances dist.
-
-    The ball mass is constant between consecutive atom distances, so the
-    sup is the open ball at r_min or the closed ball at an atom distance.
-    Each node's distances are sorted once and the (signed) weights summed
-    in that order; a closed ball is read at the last atom of its tie group.
-    """
-    d = mu.dimension
-    omega = UNIT_BALL_VOLUME[d]
-    w = mu._aw if signed else np.abs(mu._aw)
-    r_min = rg.radii[0]
+def _sorted_atom_sums(mu: Measure, points: np.ndarray, signed: bool):
+    """Each point's atom distances, sorted (stable), and the running sums
+    of the (signed) weights in that order: sums[i, j] is the mass of the
+    j + 1 atoms nearest to point i."""
+    dist = mu._atom_distances(points)
     order = np.argsort(dist, axis=1, kind="stable")
-    dist = np.take_along_axis(dist, order, axis=1)
-    mass = np.abs(np.cumsum(w[order], axis=1))
-    # the open ball at r_min holds the atoms closer than r_min
-    inner = np.count_nonzero(dist < r_min, axis=1)
-    at_min = np.where(inner > 0, mass[np.arange(len(points)), inner - 1], 0.0)
-    last = np.ones(dist.shape, dtype=bool)
-    last[:, :-1] = dist[:, 1:] != dist[:, :-1]
-    ok = last & (dist > 0) & (dist >= r_min)
-    ok &= dist < tau if tau is not None else dist <= rg.r_max
-    ratio = np.divide(mass, omega * dist**d, out=np.zeros_like(mass),
-                      where=ok)
-    return np.maximum(at_min / (omega * r_min**d), ratio.max(axis=1))
+    w = mu._aw if signed else np.abs(mu._aw)
+    sums = np.cumsum(w[order], axis=1)
+    return np.take_along_axis(dist, order, axis=1), sums
 
 
-def _box_bound(mu: Measure, points: np.ndarray,
-               atom_dist: Optional[np.ndarray]):
+def _atom_mass(dist, sums, r) -> np.ndarray:
+    """Mass of the atoms closer than r (a scalar or an (n, 1) column), from
+    the sorted distances and running sums of _sorted_atom_sums; needs at
+    least one atom."""
+    count = np.count_nonzero(dist < r, axis=1)
+    return np.where(count > 0, sums[np.arange(len(count)), count - 1], 0.0)
+
+
+def _box_bound(mu: Measure, points: np.ndarray):
     """Return bound(r, rows): for each point p of points[rows], a bound B
-    of the absolute mass of the ball B(p, r) of a 2D measure with a
-    density.  With R = r (1 + _PRUNE_SLACK), B sums the |atoms| closer
-    than R, the |density| of every cell whose centre lies in the closed
-    square [p +- R]^2 and the |curve| total.
+    of the absolute mass of the ball B(p, r) of an atom-free 2D measure
+    with a density.  With R = r (1 + _PRUNE_SLACK), B sums the |density|
+    of every cell whose centre lies in the closed square [p +- R]^2 and
+    the |curve| total.
 
     A cell that the centre-in-ball rule counts has its centre within the
     rounded p +- R, so the square holds it; the square's mass is four
@@ -217,7 +206,6 @@ def _box_bound(mu: Measure, points: np.ndarray,
     c0, c1 = mu._c0, mu._c1
     ux, ix = np.unique(points[:, 0], return_inverse=True)
     uy, iy = np.unique(points[:, 1], return_inverse=True)
-    w = np.abs(mu._aw)
     curves = sum(abs(rho) * float(np.sum(lens))
                  for _, rho, lens in mu._curve_data)
 
@@ -229,47 +217,65 @@ def _box_bound(mu: Measure, points: np.ndarray,
         j0 = np.searchsorted(c1, uy - R, side="left")[y]
         j1 = np.searchsorted(c1, uy + R, side="right")[y]
         b = table[i1, j1] - table[i0, j1] - table[i1, j0] + table[i0, j0]
-        b += curves
-        if len(w):
-            b += np.einsum("ij,j->i", atom_dist[rows] < R, w)
-        return b
+        return b + curves
 
     return bound
 
 
-def _swept_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
-                  signed: bool, tau: Optional[float],
-                  atom_dist: np.ndarray) -> np.ndarray:
-    """Event radii, then the pruned sweep over the radius grid, of a
-    measure with a density or a curve, at points with atom distances
-    atom_dist (see the module docstring)."""
+def _block_values(mu: Measure, free: Optional[Measure], points: np.ndarray,
+                  rg: RadiusGrid, signed: bool, tau: Optional[float]):
+    """(values, flags) at a row block of points (see the module docstring);
+    free is mu without its atoms, None when mu has no density and no
+    curve."""
+    dist, sums = _sorted_atom_sums(mu, points, signed)
+    # the nearest atom is the first sorted distance
+    flags = (dist[:, :1] < rg.r_min).any(axis=1)
+    if mu.curves:
+        flags |= free.singular_support_distance(points) < rg.r_min
     d = mu.dimension
     omega = UNIT_BALL_VOLUME[d]
     n = len(points)
-    radii = rg.radii if tau is None else rg.radii[rg.radii < tau]
-    best = np.zeros(n)
+    absolute = not signed
 
-    # event radii first, so that the sweep below starts from their values:
-    # exact atom distances (closed-ball limit) and sharp density edges
-    # (open), both capped by the sweep truncation range
-    def apply_events(dist, closed):
-        ok = (dist > 0) & (dist >= rg.r_min)
-        if tau is not None:
-            ok &= dist < tau
-        else:
-            ok &= dist <= rg.r_max
-        if not np.any(ok):
-            return
-        m = mu.ball_masses(points[ok], dist[ok], absolute=not signed,
-                           closed=closed, _atom_dist=atom_dist[ok])
-        if signed:
-            np.abs(m, out=m)
-        best[ok] = np.maximum(best[ok], m / (omega * dist[ok]**d))
+    def in_range(r):
+        ok = (r > 0) & (r >= rg.r_min)
+        return ok & (r < tau) if tau is not None else ok & (r <= rg.r_max)
 
-    for j in range(len(mu._apos)):
-        apply_events(atom_dist[:, j], closed=True)
-    for e in mu.density_sharp_edges():
-        apply_events(np.abs(points[:, 0] - e), closed=False)
+    # the closed ball at each atom distance holds the atoms up to the last
+    # of its tie group
+    last = np.ones(dist.shape, dtype=bool)
+    last[:, :-1] = dist[:, 1:] != dist[:, :-1]
+    ok = last & in_range(dist)
+    mass = sums
+    if free is not None and ok.any():
+        # copy sums after the query, so the copy adds nothing to its peak
+        rest = free.ball_masses(points[np.nonzero(ok)[0]], dist[ok],
+                                absolute=absolute, closed=True)
+        mass = sums.copy()
+        mass[ok] += rest
+    ratio = np.divide(np.abs(mass), omega * dist**d,
+                      out=np.zeros(dist.shape), where=ok)
+    best = ratio.max(axis=1, initial=0.0)
+    if free is None:
+        # an atomic ball mass is constant between atom distances, so the
+        # open ball at r_min is the only other candidate
+        if dist.shape[1]:
+            at_min = np.abs(_atom_mass(dist, sums, rg.r_min))
+            best = np.maximum(at_min / (omega * rg.r_min**d), best)
+        return best, flags
+
+    def open_ratio(rows, r):  # |mu(B(x, r))| / (omega r^d), r one or per row
+        m = free.ball_masses(points[rows], r, absolute=absolute)
+        if dist.shape[1]:
+            m += _atom_mass(dist[rows], sums[rows], np.reshape(r, (-1, 1)))
+        return np.abs(m, out=m) / (omega * r**d)
+
+    # sharp density edges (open balls) are event radii too
+    for e in free.density_sharp_edges():
+        r = np.abs(points[:, 0] - e)
+        ok = in_range(r)
+        if np.any(ok):
+            best[ok] = np.maximum(best[ok], open_ratio(ok, r[ok]))
 
     # pruned sweep: a ball farther than r from the support box holds no
     # mass, and no ratio exceeds |mu| / (omega r^d), which falls with r
@@ -279,9 +285,10 @@ def _swept_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
     total = mu.total_variation() * reach
     gap_max = gap.max(initial=0.0)
     box_bound = None
-    if d == 2 and mu.density is not None:
-        box_bound = _box_bound(mu, points, atom_dist)
+    if d == 2 and free.density is not None:
+        box_bound = _box_bound(free, points)
         slack = _PRUNE_SLACK * mu.total_variation()
+    radii = rg.radii if tau is None else rg.radii[rg.radii < tau]
     for r in radii:
         vol = omega * r**d
         live = (best < total / vol) & (gap < r * reach)
@@ -294,23 +301,19 @@ def _swept_values(mu: Measure, points: np.ndarray, rg: RadiusGrid,
             # the box bound is not monotone in r: it skips a node at this
             # radius only, and the break above keeps the monotone test
             rows = np.flatnonzero(live)
-            rows = rows[best[rows] < (box_bound(r, rows) * reach + slack)
-                        / vol]
+            b = box_bound(r, rows)
+            if dist.shape[1]:
+                b += np.abs(_atom_mass(dist[rows], sums[rows], r))
+            rows = rows[best[rows] < (b * reach + slack) / vol]
             if rows.size == 0:
                 continue
         else:
             # a 1D query is a few vectorized passes: over all nodes it
             # costs less than gathering the live ones once most are live
-            rows = None if d == 1 and 2 * count > n else np.flatnonzero(live)
-        m = mu.ball_masses(points, float(r), absolute=not signed,
-                           closed=False, _atom_dist=atom_dist, _rows=rows)
-        if signed:
-            np.abs(m, out=m)
-        if rows is None:
-            np.maximum(best, m / vol, out=best)
-        else:
-            best[rows] = np.maximum(best[rows], m / vol)
-    return best
+            rows = (slice(None) if d == 1 and 2 * count > n
+                    else np.flatnonzero(live))
+        best[rows] = np.maximum(best[rows], open_ratio(rows, r))
+    return best, flags
 
 
 def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
@@ -319,8 +322,9 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
 
     flags marks points within r_min of the singular support, where the
     truncated sup cannot chase the blow-up.  The points go in row blocks
-    of at most _EVENT_BLOCK point-atom distances, shared by the flags and
-    the kernel; a node's value does not depend on the other rows.
+    of at most _EVENT_BLOCK point-atom distances, sorted once per block
+    for the flags and the kernel; a node's value does not depend on the
+    other rows.
     """
     if variant not in ("M", "Mbar", "Mtau"):
         raise ValueError(f"not a measure variant: {variant!r}")
@@ -332,16 +336,15 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
         tau = None
     signed = variant == "Mbar"
     k = len(mu._apos)
-    atomic = k > 0 and mu.density is None and not mu.curves
-    kernel = _atomic_values if atomic else _swept_values
+    free = None
+    if mu.density is not None or mu.curves:
+        free = Measure(mu.dimension, density=mu.density,
+                       curves=mu.curves) if k else mu
     rows = max(1, _EVENT_BLOCK // k) if k else max(1, len(points))
     best, flags = np.empty(len(points)), np.empty(len(points), dtype=bool)
     for b in range(0, len(points), rows):
-        block = points[b:b + rows]
-        dist = mu._atom_distances(block)
-        flags[b:b + rows] = mu.singular_support_distance(
-            block, _atom_dist=dist) < rg.r_min
-        best[b:b + rows] = kernel(mu, block, rg, signed, tau, dist)
+        best[b:b + rows], flags[b:b + rows] = _block_values(
+            mu, free, points[b:b + rows], rg, signed, tau)
     return best, flags
 
 
@@ -357,19 +360,20 @@ def maximal_field(mu: Measure, eval_grid: UniformGrid, rg: RadiusGrid,
                   ) -> MaximalField:
     """Node-wise maximal values over an evaluation grid.
 
-    One distance pass per row block, O(nodes * k) for k atoms, serves the
-    flags and the kernel.  A purely atomic measure then costs
-    O(nodes * k log k), from event radii alone, exact.  Otherwise the event
-    radii come first, O(nodes * (atoms + sharp edges)) queries, and the
-    sweep costs O(live pairs * query), an atom term costing O(atoms): a
-    node-radius pair is live while the ball reaches the support box and
-    |mu| / (omega_d r^d) exceeds the node's running value; with a 2D
-    density, the box bound B / (omega_d r^d) must exceed it as well, at
-    O(1 + atoms) per live node plus O(log cells) per distinct x and y
-    (see the module docstring).  A 1D density query costs O(log cells)
-    from cumulative sums; a 2D one costs O(log cells) per cell row within
-    r of the node, two lookups in that row's prefix sums, with the row
-    half-width shared by the nodes of equal x and r.
+    One sorted distance pass per row block, O(nodes * k log k) for k
+    atoms, serves the flags and the atom part of every ball, which then
+    costs O(k) to count.  A purely atomic measure takes its exact values
+    from the event radii alone.  Otherwise the event radii add
+    O(nodes * (atoms + sharp edges)) queries of the atom-free part, and the
+    sweep costs O(live pairs * query): a node-radius pair is live while the
+    ball reaches the support box and |mu| / (omega_d r^d) exceeds the
+    node's running value; with a 2D density, the box bound
+    B / (omega_d r^d) must exceed it as well, at O(1) per live node plus
+    O(log cells) per distinct x and y (see the module docstring).  A 1D
+    density query costs O(log cells) from cumulative sums; a 2D one costs
+    O(log cells) per cell row within r of the node, two lookups in that
+    row's prefix sums, with the row half-width shared by the nodes of
+    equal x and r.
     """
     if eval_grid.dimension != mu.dimension:
         raise ValueError("grid dimension mismatch")

@@ -245,30 +245,23 @@ class Measure:
         return np.sqrt(dx * dx + dy * dy)
 
     def ball_masses(self, points, radii, absolute: bool = False,
-                    closed: bool = False, _atom_dist=None,
-                    _rows=None) -> np.ndarray:
+                    closed: bool = False) -> np.ndarray:
         """Mass of per-point balls: points (n, d), radii scalar or (n,).
 
-        closed=True switches atom inclusion to the closed ball, and
-        _atom_dist passes the points' _atom_distances in; density and
+        closed=True switches atom inclusion to the closed ball; density and
         curve contributions are continuous in the radius so the flag only
-        moves their measure-zero boundary cells/chords.  _rows (indices)
-        returns the masses of those points only, bit for bit as in the
-        full result.
+        moves their measure-zero boundary cells/chords.  A point's mass
+        does not depend on the other points queried with it.  The maximal
+        fields read the atoms from sorted distances and query only the
+        atom-free part here.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         radii = np.broadcast_to(np.asarray(radii, dtype=float),
                                 (len(points),))
-        if _rows is not None:
-            points, radii = points[_rows], radii[_rows]
-            if _atom_dist is not None:
-                _atom_dist = _atom_dist[_rows]
         out = np.zeros(len(points))
 
         if len(self._apos):
-            D = _atom_dist
-            if D is None:
-                D = self._atom_distances(points)
+            D = self._atom_distances(points)
             r = radii[:, None]
             mask = D <= r if closed else D < r
             w = np.abs(self._aw) if absolute else self._aw
@@ -374,18 +367,17 @@ class Measure:
                                            np.array([radius]))[0])
         return total
 
-    def singular_support_distance(self, points,
-                                  _atom_dist=None) -> np.ndarray:
+    def singular_support_distance(self, points) -> np.ndarray:
         """Distance from each point to the nearest atom or curve (inf if
-        none); _atom_dist passes the points' _atom_distances in."""
+        none).  The maximal fields take the atom part from their sorted
+        distances and call this on the atom-free part only."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         best = np.full(len(points), np.inf)
         if len(self._apos):
             rows = max(1, _EVENT_BLOCK // len(self._apos))
             for b in range(0, len(points), rows):
-                D = (self._atom_distances(points[b:b + rows])
-                     if _atom_dist is None else _atom_dist[b:b + rows])
-                best[b:b + rows] = D.min(axis=1)
+                best[b:b + rows] = self._atom_distances(
+                    points[b:b + rows]).min(axis=1)
         for pts, rho, _ in self._curve_data:
             if rho == 0.0:
                 continue

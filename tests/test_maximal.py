@@ -350,36 +350,67 @@ class TestOscillationPruning:
 
 def unpruned_values_at(mu, points, rg, variant, tau=None):
     """maximal_values_at without the prune: every node at every radius,
-    then the same event radii."""
+    then the same event radii, the atom part read from the kernel's sorted
+    running sums and the rest queried on the atom-free measure."""
     d = mu.dimension
     omega = UNIT_BALL_VOLUME[d]
     radii = rg.radii if variant != "Mtau" else rg.radii[rg.radii < tau]
     signed = variant == "Mbar"
-    atom_dist = mu._atom_distances(points)
+    dist, sums = maximal._sorted_atom_sums(mu, points, signed)
+    # sums[i, c]: the mass of the c atoms nearest to point i
+    sums = np.hstack([np.zeros((len(points), 1)), sums])
+    free = Measure(d, density=mu.density, curves=mu.curves)
     best = np.zeros(len(points))
+
+    def ball(r, closed):
+        # a sweep radius is a scalar there, an event radius one per point
+        vol = np.broadcast_to(omega * r**d, (len(points),))
+        r = np.broadcast_to(r, (len(points),))
+        # the closed ball holds every atom at distance r, ties included
+        count = np.count_nonzero(dist <= r[:, None] if closed
+                                 else dist < r[:, None], axis=1)
+        ok = (r > 0) & (r >= rg.r_min)
+        ok &= r < tau if variant == "Mtau" else r <= rg.r_max
+        m = sums[np.arange(len(points)), count][ok] + free.ball_masses(
+            points[ok], r[ok], absolute=not signed, closed=closed)
+        best[ok] = np.maximum(best[ok], np.abs(m) / vol[ok])
+
     for r in radii:
-        m = mu.ball_masses(points, float(r), absolute=not signed,
-                           closed=False, _atom_dist=atom_dist)
-        if signed:
-            np.abs(m, out=m)
-        np.maximum(best, m / (omega * r**d), out=best)
-
-    def event(dist, closed):
-        ok = (dist > 0) & (dist >= rg.r_min)
-        ok &= dist < tau if variant == "Mtau" else dist <= rg.r_max
-        if not np.any(ok):
-            return
-        m = mu.ball_masses(points[ok], dist[ok], absolute=not signed,
-                           closed=closed, _atom_dist=atom_dist[ok])
-        if signed:
-            np.abs(m, out=m)
-        best[ok] = np.maximum(best[ok], m / (omega * dist[ok]**d))
-
+        ball(r, closed=False)
     for j in range(len(mu._apos)):
-        event(atom_dist[:, j], closed=True)
+        ball(dist[:, j], closed=True)
+    for e in mu.density_sharp_edges():
+        ball(np.abs(points[:, 0] - e), closed=False)
+    return best, mu.singular_support_distance(points) < rg.r_min
+
+
+def index_order_values_at(mu, points, rg, variant, tau=None):
+    """The sweep and event radii of unpruned_values_at, with every mass
+    from Measure.ball_masses of the whole measure, which sums the atoms in
+    index order: the rule before the sorted running sums."""
+    d = mu.dimension
+    omega = UNIT_BALL_VOLUME[d]
+    radii = rg.radii if variant != "Mtau" else rg.radii[rg.radii < tau]
+    signed = variant == "Mbar"
+    best = np.zeros(len(points))
+
+    def event(r, closed):
+        ok = (r > 0) & (r >= rg.r_min)
+        ok &= r < tau if variant == "Mtau" else r <= rg.r_max
+        if np.any(ok):
+            m = mu.ball_masses(points[ok], r[ok], absolute=not signed,
+                               closed=closed)
+            best[ok] = np.maximum(best[ok], np.abs(m) / (omega * r[ok]**d))
+
+    for r in radii:
+        m = mu.ball_masses(points, float(r), absolute=not signed)
+        np.maximum(best, np.abs(m) / (omega * r**d), out=best)
+    dist = mu._atom_distances(points)
+    for j in range(len(mu._apos)):
+        event(dist[:, j], closed=True)
     for e in mu.density_sharp_edges():
         event(np.abs(points[:, 0] - e), closed=False)
-    return best, mu.singular_support_distance(points) < rg.r_min
+    return best
 
 
 _coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -466,6 +497,62 @@ class TestPrunedSweep:
             assert np.array_equal(got[0], want[0]), variant
             assert np.array_equal(got[1], want[1]), variant
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(mixed_measures(), st.data())
+    def test_matches_the_index_order_sweep(self, mu, data):
+        # the sorted running sums change only the order of the atom sum
+        d = mu.dimension
+        rg = RadiusGrid.geometric(
+            data.draw(st.floats(min_value=0.005, max_value=0.2)),
+            data.draw(st.floats(min_value=1.0, max_value=6.0)),
+            data.draw(st.integers(min_value=4, max_value=24)))
+        tau = float(rg.radii[len(rg.radii) // 2])
+        free = data.draw(st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * d),
+                                  min_size=1, max_size=12))
+        points = np.vstack([np.asarray(free, dtype=float).reshape(-1, d),
+                            mu._apos, touching_points(mu, rg.radii[:2])])
+        for variant in ("M", "Mbar", "Mtau"):
+            got, _ = maximal_values_at(mu, points, rg, variant, tau=tau)
+            want = index_order_values_at(mu, points, rg, variant, tau=tau)
+            assert np.all(np.abs(got - want) <= 1e-12 * want), variant
+
+    def test_atoms_never_reach_ball_masses(self, monkeypatch):
+        # the atom part comes from the sorted running sums alone
+        ball_masses = Measure.ball_masses
+        support_distance = Measure.singular_support_distance
+
+        def atom_free(method):
+            def checked(self, *args, **kwargs):
+                assert len(self._apos) == 0
+                return method(self, *args, **kwargs)
+            return checked
+
+        rng = np.random.default_rng(4)
+        atoms_1d = Measure(1, atoms=tuple(
+            ((float(x),), float(w)) for x, w in
+            zip(rng.uniform(-1, 1, 6), rng.uniform(-2, 2, 6))))
+        atoms_2d = Measure(2, atoms=tuple(
+            (tuple(p), float(w)) for p, w in
+            zip(rng.uniform(-1, 1, (6, 2)), rng.uniform(-2, 2, 6))))
+        density_1d = Measure(1, density=(UniformGrid((-0.5,), 0.1, (10,)),
+                                         rng.uniform(-1, 2, 10)))
+        density_2d = Measure(2, density=(UniformGrid((-0.5, -0.4), 0.1,
+                                                     (9, 8)),
+                                         rng.uniform(-1, 2, (9, 8))),
+                             curves=((rng.uniform(-1, 1, (3, 2)), 0.7),))
+        rg = RadiusGrid.geometric(0.01, 5.0, 24)
+        monkeypatch.setattr(Measure, "ball_masses", atom_free(ball_masses))
+        monkeypatch.setattr(Measure, "singular_support_distance",
+                            atom_free(support_distance))
+        for mu, points in ((atoms_1d + density_1d, rng.uniform(-2, 2, 41)),
+                           (atoms_2d + density_2d,
+                            rng.uniform(-2, 2, (41, 2))),
+                           (atoms_2d, rng.uniform(-2, 2, (41, 2)))):
+            for variant in ("M", "Mbar", "Mtau"):
+                values, _ = maximal_values_at(mu, points.reshape(41, -1), rg,
+                                              variant, tau=0.5)
+                assert np.any(values > 0)
+
     def test_measure_2d_cases_match_unpruned_sweep(self):
         # the swept 2D shapes of the benchmark, shrunk: a density square
         # and the square plus an atom (the atom cluster takes the event
@@ -543,7 +630,7 @@ class TestPrunedSweep:
         rows = self.count_disc_rows(monkeypatch)
         box_bound = maximal._box_bound
 
-        def no_box_bound(mu, points, atom_dist):
+        def no_box_bound(mu, points):
             return lambda r, live: np.full(len(live), np.inf)
 
         for variant in ("M", "Mbar"):
@@ -628,18 +715,22 @@ class TestBoxBound:
         points = np.vstack([picks, at_r, np.nextafter(at_r, -np.inf),
                             np.nextafter(at_r, np.inf),
                             np.asarray(free, dtype=float).reshape(-1, 2)])
-        atom_dist = None
-        if len(mu._apos):
-            atom_dist = np.linalg.norm(
-                points[:, None, :] - mu._apos[None, :, :], axis=2)
         rows = np.arange(len(points))
-        bound = maximal._box_bound(mu, points, atom_dist)(r, rows)
+        free = Measure(2, density=mu.density, curves=mu.curves)
+        box = maximal._box_bound(free, points)(r, rows)
         slack = maximal._PRUNE_SLACK
-        bound = bound * (1.0 + slack) + slack * mu.total_variation()
-        for closed in (False, True):
-            for absolute in (True, False):
+        for absolute in (True, False):
+            # the sweep adds the |atom mass| it reads from the sorted sums
+            dist, sums = maximal._sorted_atom_sums(mu, points, not absolute)
+            sums = np.hstack([np.zeros((len(points), 1)), sums])
+            for closed in (False, True):
+                count = np.count_nonzero(dist <= r if closed else dist < r,
+                                         axis=1)
+                atoms = np.abs(sums[rows, count])
+                bound = (box + atoms) * (1.0 + slack) \
+                    + slack * mu.total_variation()
                 m = mu.ball_masses(points, r, absolute=absolute,
-                                   closed=closed, _atom_dist=atom_dist)
+                                   closed=closed)
                 assert np.all(bound >= np.abs(m))
 
 

@@ -151,9 +151,6 @@ class TestBallMassesSubset:
                 for size in (1, 2, 3, 7, 31) * 4:
                     idx = np.sort(rng.choice(len(points), size, False))
                     assert np.array_equal(
-                        mu.ball_masses(points, 0.8, closed=closed, _rows=idx),
-                        full[idx])
-                    assert np.array_equal(
                         mu.ball_masses(points[idx], 0.8, closed=closed),
                         full[idx])
 
@@ -288,7 +285,7 @@ class TestSupportAndSingular:
                                  np.ones((2, 2))))
         assert mu._atom_distances(np.zeros((3, 2))).shape == (3, 0)
         assert np.all(np.isinf(mu.singular_support_distance(
-            np.zeros((3, 2)), _atom_dist=np.empty((3, 0)))))
+            np.zeros((3, 2)))))
 
     @pytest.mark.parametrize("block", [1, 3, 7, 64])
     def test_row_blocks_do_not_change_bits(self, monkeypatch, block):

@@ -487,6 +487,23 @@ class TestCliArtifacts:
         assert f"{cfg}:1:" in err and "thresholdd" in err
 
 
+    @pytest.mark.parametrize("command,text", [
+        ("distcurve", '{"radii": 1e400}'),
+        ("distcurve", '{"radii": NaN}'),
+        ("distcurve", '{"radii": -1e400}'),
+        ("verify", '{"corpus_size": 1e400}'),
+    ])
+    def test_config_rejects_non_finite_integers(self, tmp_path, capsys,
+                                                command, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text + "\n")
+        argv = ["--input", str(SPECS / "unit_atom.json")] \
+            if command == "distcurve" else []
+        assert run_cli(command, "--config", str(cfg), *argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "must be an integer" in err
+
 class TestCliVerify:
     def test_verify_artifacts_are_reproducible(self, tmp_path, monkeypatch,
                                                capsys):
