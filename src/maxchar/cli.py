@@ -113,7 +113,22 @@ def _coerce(name: str, value, path):
     return float(value)
 
 
-def _load_config_file(path, command: str) -> dict:
+def _key_line(text: str, key: str) -> Optional[int]:
+    """Line of the first occurrence of "key" in a config file's text."""
+    needle = f'"{key}"'
+    return (text[:text.index(needle)].count("\n") + 1
+            if needle in text else None)
+
+
+def _flag_choices(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> choices of the command's flags that have them, read from the
+    parser so that config-file values obey the same lists."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return {a.dest: a.choices for a in sub._actions if a.choices}
+
+
+def _load_config_file(path, command: str, choices: dict) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -132,21 +147,27 @@ def _load_config_file(path, command: str) -> dict:
     for key, value in data.items():
         canon = key.replace("-", "_")
         if canon not in allowed:
-            needle = f'"{key}"'
-            line = (text[:text.index(needle)].count("\n") + 1
-                    if needle in text else None)
             raise SpecSchemaError(
                 f"config key '{key}' is not recognized for {command}",
-                path=path, line=line)
-        if value is not None:
-            out[canon] = _coerce(canon, value, path)
+                path=path, line=_key_line(text, key))
+        if value is None:
+            continue
+        value = _coerce(canon, value, path)
+        if canon in choices and value not in choices[canon]:
+            raise SpecSchemaError(
+                f"config key '{key}': invalid choice '{value}' (choose from "
+                f"{', '.join(choices[canon])})", path=path,
+                line=_key_line(text, key))
+        out[canon] = value
     return out
 
 
-def _resolve(args: argparse.Namespace) -> ExperimentConfig:
+def _resolve(args: argparse.Namespace,
+             parser: argparse.ArgumentParser) -> ExperimentConfig:
     from_file = {}
     if getattr(args, "config", None) is not None:
-        from_file = _load_config_file(args.config, args.command)
+        from_file = _load_config_file(args.config, args.command,
+                                      _flag_choices(parser, args.command))
     merged = {}
     for name in _COMMAND_KEYS[args.command]:
         flag_val = getattr(args, name, None)
@@ -215,7 +236,7 @@ def _write_curve(cfg: ExperimentConfig, curve, block: str, title: str):
     specio.write_text(out / "curve.csv", specio.distribution_csv(curve))
     specio.write_text(out / "verdict.txt", block)
     svg = line_plot_svg(curve.lambdas, curve.products, title=title,
-                        xlabel="lambda", ylabel="lambda * volume", logx=True)
+                        xlabel="lambda", ylabel="lambda * volume")
     specio.write_text(out / "curve.svg", svg)
 
 
@@ -267,7 +288,7 @@ def _cmd_decay(cfg: ExperimentConfig) -> int:
         specio.write_text(out / "report.txt", block)
         svg = line_plot_svg(report.deltas, report.q_values,
                             title="clipped decay quantity",
-                            xlabel="delta", ylabel="Q", logx=True)
+                            xlabel="delta", ylabel="Q")
         specio.write_text(out / "decay.svg", svg)
     sys.stdout.write(block)
     return _verdict_exit(report.verdict, expected)
@@ -356,7 +377,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve(args)
+        cfg = _resolve(args, parser)
         return _HANDLERS[cfg.command](cfg)
     except MaxcharError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -61,19 +61,19 @@ def _grid_density(lo: float, hi: float, cells: int, values) -> Measure:
     return Measure(1, density=(grid, np.asarray(values, dtype=float)))
 
 
-def chi_unit_density(cells: int = 1000) -> Measure:
-    return _grid_density(0.0, 1.0, cells, np.ones(cells))
+def chi_unit_density() -> Measure:
+    return _grid_density(0.0, 1.0, 1000, np.ones(1000))
 
 
-def tent_density(cells: int = 512) -> Measure:
-    grid = UniformGrid.cover_cells([-1.0], [1.0], 2.0 / cells)
+def tent_density() -> Measure:
+    grid = UniformGrid.cover_cells([-1.0], [1.0], 2.0 / 512)
     x = grid.axis(0)
     return Measure(1, density=(grid, np.maximum(0.0, 1.0 - np.abs(x))))
 
 
-def bump_density(cells: int = 512) -> Measure:
+def bump_density() -> Measure:
     """C^1 bump (1 - x^2)^2 on (-1, 1)."""
-    grid = UniformGrid.cover_cells([-1.0], [1.0], 2.0 / cells)
+    grid = UniformGrid.cover_cells([-1.0], [1.0], 2.0 / 512)
     x = grid.axis(0)
     return Measure(1, density=(grid, (1.0 - x ** 2) ** 2))
 
@@ -133,7 +133,7 @@ def flow_corpus():
     modulated = TimeField(times=(0.25, 0.75),
                           slices=(Measure(1, atoms=(((0.0,), 1.6),)),
                                   Measure(1, atoms=(((0.0,), -2.4),))),
-                          ball_center=(0.0,), ball_radius=1.0, horizon=1.0)
+                          ball_center=(0.0,), ball_radius=1.0)
     atom_pair = TimeField.steady(Measure(1, atoms=(((-0.3,), 1.0),
                                                    ((0.3,), 1.0))),
                                  (0.0,), 1.0)

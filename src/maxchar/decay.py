@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ _LADDER_PER_DECADE = 24
 _BACKGROUND_CELLS = 256
 _REFINE_SPAN_CELLS = 4  # ladder reaches this many background cells out
 _CLIP_MARGIN = 8.0      # finest cell = transition_radius / (CLIP_MARGIN / 2)
+_PER_DECADE = 64        # default radius samples per decade
 
 
 @dataclass(frozen=True)
@@ -81,17 +82,17 @@ class TimeField:
         return np.diff(edges)
 
     @classmethod
-    def steady(cls, derivative: Measure, ball_center, ball_radius: float,
-               horizon: float = 1.0) -> "TimeField":
-        """Time-independent field sampled at the midpoint of (0, horizon)."""
-        return cls(times=(0.5 * horizon,), slices=(derivative,),
-                   ball_center=ball_center, ball_radius=ball_radius,
-                   horizon=horizon)
+    def steady(cls, derivative: Measure, ball_center,
+               ball_radius: float) -> "TimeField":
+        """Time-independent field on (0, 1), sampled at its midpoint."""
+        return cls(times=(0.5,), slices=(derivative,),
+                   ball_center=ball_center, ball_radius=ball_radius)
 
-    def total_variation_timeintegral(self, closed: bool = True) -> float:
+    def total_variation_timeintegral(self) -> float:
+        """|Db_t|(closed ball) integrated over (0, horizon)."""
         w = self.time_weights()
         masses = [s.ball_mass(self.ball_center, self.ball_radius,
-                              absolute=True, closed=closed)
+                              absolute=True, closed=True)
                   for s in self.slices]
         return float(np.dot(w, masses))
 
@@ -242,7 +243,7 @@ def _q_value(w: np.ndarray, fields, delta: float) -> float:
 
 def decay_quantity(tf: TimeField, delta: float,
                    h_background: Optional[float] = None,
-                   per_decade: int = 64) -> float:
+                   per_decade: int = _PER_DECADE) -> float:
     """Q(B; delta) by graded-mesh quadrature, exact time weighting."""
     _validate_delta(delta)
     fields = _prepare_slices(tf, delta, h_background, per_decade)
@@ -271,25 +272,18 @@ class DecayReport:
             raise ValueError("Q must be nonnegative")
 
 
-def decay_sweep(tf: TimeField, deltas: Sequence[float] = DEFAULT_DELTAS,
-                threshold: Optional[float] = None,
+def decay_sweep(tf: TimeField, threshold: Optional[float] = None,
                 h_background: Optional[float] = None,
-                per_decade: int = 64) -> DecayReport:
-    """Q across a decreasing delta sequence, classified over the smallest
-    decade.  Meshes are built once at the finest delta and reused; the
-    clipped integrand only loosens at coarser delta, so the finest mesh
-    dominates every coarser requirement.
+                per_decade: int = _PER_DECADE) -> DecayReport:
+    """Q across DEFAULT_DELTAS, classified over the smallest decade.
+    Meshes are built once at the finest delta and reused; the clipped
+    integrand only loosens at coarser delta, so the finest mesh dominates
+    every coarser requirement.
     """
-    deltas = tuple(float(x) for x in deltas)
-    for x in deltas:
-        _validate_delta(x)
-    if len(deltas) < 2 or any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("need a strictly decreasing delta sequence")
-    if deltas[0] / deltas[-1] < 1e3 * (1 - 1e-9):
-        raise ValueError("delta sequence must span at least three decades")
+    deltas = DEFAULT_DELTAS
     sing_open = tf.singular_timeintegral(closed=False)
     sing_closed = tf.singular_timeintegral(closed=True)
-    tv_closed = tf.total_variation_timeintegral(closed=True)
+    tv_closed = tf.total_variation_timeintegral()
     if threshold is None:
         threshold = 0.2 * tv_closed
     if tv_closed == 0:
@@ -310,36 +304,28 @@ def decay_sweep(tf: TimeField, deltas: Sequence[float] = DEFAULT_DELTAS,
         verdict = PERSISTS
     else:
         verdict = INCONCLUSIVE
-    return DecayReport(tuple(deltas), tuple(qs), liminf_est, limsup_est,
+    return DecayReport(deltas, tuple(qs), liminf_est, limsup_est,
                        verdict, sing_open, sing_closed, float(threshold))
 
 
 def level_integral_slice(mu: Measure, ball_center, ball_radius: float,
-                         delta: float, h_background: Optional[float] = None,
-                         inner_margin: Optional[float] = None,
-                         per_decade: int = 64) -> float:
+                         delta: float) -> float:
     """int_{delta^-1/2}^{delta^-1} vol({M(1_B' |mu|) > lam} cap B) dlam.
 
-    B' is the ball shrunk by the inner margin (default two background
-    cells), the localization device that links the clipped integral to the
-    level-set lower bound.  The lambda integral is exact for the sampled
-    field: each node contributes weight * (min(value, lam_hi) - lam_lo)+.
+    B' is the ball shrunk by two background cells, r / 64 in all: the
+    localization device that links the clipped integral to the level-set
+    lower bound.  The lambda integral is exact for the sampled field: each
+    node contributes weight * (min(value, lam_hi) - lam_lo)+.
     """
     _validate_delta(delta)
-    d = mu.dimension
-    if d != 1:
+    if mu.dimension != 1:
         raise ValueError("the slice diagnostic is one-dimensional")
-    if h_background is None:
-        h_background = 2.0 * ball_radius / _BACKGROUND_CELLS
-    if inner_margin is None:
-        inner_margin = 2.0 * h_background
-    if not (0 <= inner_margin < ball_radius):
-        raise ValueError("inner margin must be shorter than the radius")
-    restricted = mu.absolute().restricted_to_ball(
-        ball_center, ball_radius - inner_margin)
+    h_bg = 2.0 * ball_radius / _BACKGROUND_CELLS
+    restricted = mu.absolute().restricted_to_ball(ball_center,
+                                                  ball_radius - 2.0 * h_bg)
     c = float(np.asarray(ball_center).reshape(-1)[0])
-    field = _slice_field_1d(restricted, c, ball_radius, delta, h_background,
-                            per_decade)
+    field = _slice_field_1d(restricted, c, ball_radius, delta, h_bg,
+                            _PER_DECADE)
     lam_lo = delta ** -0.5
     lam_hi = 1.0 / delta
     gain = np.maximum(0.0, np.minimum(field.values, lam_hi) - lam_lo)

@@ -55,13 +55,6 @@ class Box:
     def diameter(self) -> float:
         return math.dist(self.lo, self.hi)
 
-    def contains_points(self, pts: np.ndarray) -> np.ndarray:
-        """Row-wise closed containment test for an (n, d) array."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
-
     def contains_box(self, other: "Box") -> bool:
         return all(a <= b for a, b in zip(self.lo, other.lo)) and all(
             a >= b for a, b in zip(self.hi, other.hi)

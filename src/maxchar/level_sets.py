@@ -53,10 +53,6 @@ class LambdaGrid:
         count = max(2, int(math.ceil(per_decade * decades)) + 1)
         return cls(tuple(np.geomspace(lam_min, lam_max, count)))
 
-    @property
-    def decades(self) -> float:
-        return math.log10(self._lam[-1] / self._lam[0])
-
 
 def superlevel_volume(field: MaximalField, lam: float):
     """Volume of {field > lam} inside the window, with a boundary flag.
@@ -129,9 +125,6 @@ class DistributionCurve:
     @property
     def products(self) -> np.ndarray:
         return self._lam * self._vol
-
-    def __len__(self) -> int:
-        return len(self.lambdas)
 
 
 def distribution_curve(field: MaximalField,
@@ -376,15 +369,11 @@ class ReverseWeakResult(NamedTuple):
     holds: bool
 
 
-def reverse_weak11_check(f: GridFunction, t: float, big_c: float = 1.0,
-                         c_emp: float = 0.1,
-                         cube: Optional[Box] = None) -> ReverseWeakResult:
-    """Reverse-direction weak (1,1) bound for a nonnegative grid density:
+def reverse_weak11_check(f: GridFunction, t: float) -> ReverseWeakResult:
+    """Reverse-direction weak (1,1) bound for a nonnegative grid density,
+    in its global form:
 
-        t * vol({Mf > big_c * t})  >=  c_emp * integral of f over {f > t} ?
-
-    With cube given, f is first restricted to it and t must exceed the mean
-    of f over the cube (the local form of the inequality).
+        t * vol({Mf > t})  >=  0.1 * integral of f over {f > t} ?
     """
     if t <= 0:
         raise ValueError("level t must be positive")
@@ -392,29 +381,19 @@ def reverse_weak11_check(f: GridFunction, t: float, big_c: float = 1.0,
     if np.any(values < 0):
         raise ValueError("density must be nonnegative")
     h = f.grid.spacing
-    d = f.grid.dimension
-    cell = h ** d
-    if cube is not None:
-        inside = cube.contains_points(f.grid.points())
-        if not np.any(inside):
-            raise ValueError("cube misses the grid")
-        if t <= float(values[inside].mean()):
-            raise ValueError("local form needs t above the cube mean")
-        values = np.where(inside, values, 0.0)
-        f = GridFunction(f.grid, values.reshape(np.asarray(f.values).shape))
+    cell = h ** f.grid.dimension
     rhs = cell * float(np.sum(values[values > t]))
     mu = f.as_density_measure()
-    level = big_c * t
     if mu.total_variation() == 0:
         return ReverseWeakResult(0.0, rhs, math.inf if rhs == 0 else 0.0,
                                  rhs == 0)
-    grid = evaluation_grid(mu, level, h)
+    grid = evaluation_grid(mu, t, h)
     rg = RadiusGrid.geometric(h, 1.2 * grid.cell_box().diameter())
     fld = maximal_field(mu, grid, rg, "M")
-    volume, _ = superlevel_volume(fld, level)
+    volume, _ = superlevel_volume(fld, t)
     lhs = t * volume
     ratio = lhs / rhs if rhs > 0 else math.inf
-    holds = lhs >= c_emp * rhs - _FP * (1.0 + rhs)
+    holds = lhs >= 0.1 * rhs - _FP * (1.0 + rhs)
     return ReverseWeakResult(lhs, rhs, ratio, holds)
 
 

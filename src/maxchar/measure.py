@@ -52,10 +52,13 @@ def _as_curve(points, rho):
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite curve points")
     seg = np.diff(pts, axis=0)
-    lens = np.linalg.norm(seg, axis=1)
-    if np.any(lens <= 0):
+    if np.any(np.all(seg == 0, axis=1)):
         raise ValueError("curve has a zero-length segment")
-    return pts, float(rho), lens
+    # chords, distances and restriction all work from u . u
+    if not np.all(np.einsum("ij,ij->i", seg, seg) > 0):
+        raise ValueError("curve has a segment whose squared length "
+                         "underflows")
+    return pts, float(rho), np.linalg.norm(seg, axis=1)
 
 
 def _finite_total_variation(tv: float, parts: np.ndarray,
@@ -261,12 +264,15 @@ class Measure:
         out = np.zeros(len(points))
 
         if len(self._apos):
-            D = self._atom_distances(points)
-            r = radii[:, None]
-            mask = D <= r if closed else D < r
             w = np.abs(self._aw) if absolute else self._aw
-            # einsum, not mask @ w, as for curve chords
-            out += np.einsum("ij,j->i", mask, w)
+            rows = max(1, _EVENT_BLOCK // len(self._apos))
+            for b in range(0, len(points), rows):
+                D = self._atom_distances(points[b:b + rows])
+                r = radii[b:b + rows, None]
+                mask = D <= r if closed else D < r
+                # einsum, not mask @ w, as for curve chords: it sums each
+                # row alone, so the row blocks move no bit
+                out[b:b + rows] += np.einsum("ij,j->i", mask, w)
 
         if self.density is not None:
             if self.dimension == 1:
@@ -433,18 +439,6 @@ class Measure:
         curves = tuple(self.curves) + tuple(other.curves)
         return Measure(self.dimension, atoms, density, curves)
 
-    def __mul__(self, c) -> "Measure":
-        c = float(c)
-        atoms = tuple((p, c * w) for p, w in self.atoms)
-        density = None
-        if self.density is not None:
-            g, v = self.density
-            density = (g, c * v)
-        curves = tuple((pts, c * rho) for pts, rho in self.curves)
-        return Measure(self.dimension, atoms, density, curves)
-
-    __rmul__ = __mul__
-
     # ------------------------------------------------------------------
 
     def restricted_to_ball(self, center, radius: float) -> "Measure":
@@ -483,8 +477,8 @@ class Measure:
         return Measure(self.dimension, tuple(atoms), density, tuple(curves))
 
 
-def unit_atom(x, dimension: int = 1, weight: float = 1.0) -> Measure:
-    return Measure(dimension, atoms=((as_point(x, dimension), weight),))
+def unit_atom(x, dimension: int = 1) -> Measure:
+    return Measure(dimension, atoms=((as_point(x, dimension), 1.0),))
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +501,3 @@ class GridFunction:
     def as_density_measure(self) -> Measure:
         """Reinterpret the samples as a cell-piecewise-constant density."""
         return Measure(self.grid.dimension, density=(self.grid, self.values))
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-

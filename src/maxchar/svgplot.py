@@ -14,15 +14,15 @@ def _si(x: float) -> str:
 
 
 def line_plot_svg(xs: Sequence[float], ys: Sequence[float], title: str = "",
-                  xlabel: str = "", ylabel: str = "",
-                  logx: bool = False) -> str:
-    """One polyline on a framed canvas with min/max tick labels.
+                  xlabel: str = "", ylabel: str = "") -> str:
+    """One polyline on a framed canvas with a log-scale x axis and min/max
+    tick labels.
 
     Deterministic output: fixed canvas, 6-significant-digit coordinates.
     """
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need matching x/y sequences of length >= 2")
-    px = [math.log10(x) for x in xs] if logx else [float(x) for x in xs]
+    px = [math.log10(x) for x in xs]
     py = [float(y) for y in ys]
     x0, x1 = min(px), max(px)
     y0, y1 = min(py), max(py)
@@ -41,8 +41,7 @@ def line_plot_svg(xs: Sequence[float], ys: Sequence[float], title: str = "",
         return _MT + ih * (1.0 - (v - y0) / (y1 - y0))
 
     pts = " ".join(f"{_si(sx(a))},{_si(sy(b))}" for a, b in zip(px, py))
-    xlab_lo = _si(xs[0]) if not logx else _si(10.0 ** x0)
-    xlab_hi = _si(xs[-1]) if not logx else _si(10.0 ** x1)
+    xlab_lo, xlab_hi = _si(10.0 ** x0), _si(10.0 ** x1)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
         f'height="{_H}" viewBox="0 0 {_W} {_H}">',
@@ -57,7 +56,7 @@ def line_plot_svg(xs: Sequence[float], ys: Sequence[float], title: str = "",
         f'<text x="{_W - _MR}" y="{_H - 14}" text-anchor="end" '
         f'font-size="12">{xlab_hi}</text>',
         f'<text x="{_W // 2}" y="{_H - 14}" text-anchor="middle" '
-        f'font-size="12">{xlabel}{" (log scale)" if logx else ""}</text>',
+        f'font-size="12">{xlabel} (log scale)</text>',
         f'<text x="10" y="{_MT + 6}" font-size="12">{_si(y1)}</text>',
         f'<text x="10" y="{_MT + ih}" font-size="12">{_si(y0)}</text>',
         f'<text x="10" y="{_MT - 10}" font-size="12">{ylabel}</text>',

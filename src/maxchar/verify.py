@@ -243,8 +243,7 @@ def _check_semigroup(seed, corpus_size):
 
 def _check_reverse_weak11(seed, corpus_size):
     grid = UniformGrid.cover_cells([0.0], [1.0], 1e-3)
-    res = reverse_weak11_check(GridFunction(grid, np.ones(1000)), t=0.5,
-                               big_c=1.0, c_emp=0.1)
+    res = reverse_weak11_check(GridFunction(grid, np.ones(1000)), t=0.5)
     if abs(res.rhs - 1.0) > 1e-12 or abs(res.lhs - 0.5) > 0.01:
         return False, f"chi lhs={fmt(res.lhs)} rhs={fmt(res.rhs)}", {}
     c_measured = res.ratio
@@ -253,7 +252,7 @@ def _check_reverse_weak11(seed, corpus_size):
         gf = GridFunction(grid_d, values)
         vmax = float(np.max(values))
         for q in (0.3, 0.6, 0.9):
-            r = reverse_weak11_check(gf, t=q * vmax, big_c=1.0, c_emp=0.1)
+            r = reverse_weak11_check(gf, t=q * vmax)
             if r.rhs > 0:
                 c_measured = min(c_measured, r.ratio)
             if not r.holds:

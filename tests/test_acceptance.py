@@ -132,8 +132,7 @@ def test_c08_semigroup_bound_500_draws():
 
 def test_c09_reverse_weak_bound():
     grid = UniformGrid.cover_cells([0.0], [1.0], 1e-3)
-    res = reverse_weak11_check(GridFunction(grid, np.ones(1000)), t=0.5,
-                               big_c=1.0)
+    res = reverse_weak11_check(GridFunction(grid, np.ones(1000)), t=0.5)
     assert res.rhs == pytest.approx(1.0, abs=1e-12)
     assert res.lhs == pytest.approx(0.5, rel=0.02)
     passed, details, consts = verify._check_reverse_weak11(

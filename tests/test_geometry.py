@@ -23,12 +23,6 @@ def test_as_point_coercion_and_validation():
 
 
 class TestBox:
-    def test_containment_is_closed(self):
-        box = Box((0.0, 0.0), (1.0, 2.0))
-        inside = box.contains_points([[0.0, 0.0], [1.0, 2.0], [0.5, 1.0],
-                                      [1.0001, 1.0]])
-        assert inside.tolist() == [True, True, True, False]
-
     def test_contains_box(self):
         outer = Box((0.0,), (10.0,))
         assert outer.contains_box(Box((1.0,), (9.0,)))

@@ -1,5 +1,6 @@
 """Spec-file IO, artifact writers, and the command line contract."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -28,6 +29,18 @@ from maxchar.specio import (
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _experiment_cases():
+    """CASES of scripts/run_experiments.py, the one list of golden runs."""
+    path = SPECS.parent / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CASES
+
+
+EXPERIMENT_CASES = _experiment_cases()
 
 
 class TestLoaders:
@@ -421,26 +434,17 @@ class TestCliArtifacts:
                        "--h", "0.002", "--expect", "bv_with_jumps")
         assert code == 3
 
-    # the cases of scripts/run_experiments.py: run, command, spec, expect
-    @pytest.mark.parametrize("run,argv", [
-        ("tent-A", ("sobolev", "tent.json", "W11")),
-        ("step-A", ("sobolev", "step.json", "bv-with-jumps")),
-        ("atom-M", ("distcurve", "unit_atom.json", "persists")),
-        ("chi-M", ("distcurve", "chi_density.json", "vanishes")),
-        ("cancel-Mbar", ("distcurve", "cancel_pair.json", "persists",
-                         "--variant", "Mbar")),
-        ("square-M", ("distcurve", "square_2d.json", "persists",
-                      "--h", "0.025")),
-        ("sign-decay", ("decay", "sign_field.json", "persists")),
-        ("tent-decay", ("decay", "tent_field.json", "vanishes")),
-    ], ids=["tent", "step", "atom-M", "chi-M", "cancel-Mbar", "square-M",
-            "sign-decay", "tent-decay"])
-    def test_sobolev_artifacts_match_committed_runs(self, tmp_path, run,
-                                                    argv):
-        command, spec, expect, *extra = argv
-        assert run_cli(command, "--input", str(SPECS / spec), "--expect",
+    @pytest.mark.parametrize("run,command,spec,expect,extra",
+                             EXPERIMENT_CASES,
+                             ids=[case[0] for case in EXPERIMENT_CASES])
+    def test_experiment_runs_match_committed_artifacts(
+            self, tmp_path, run, command, spec, expect, extra):
+        """The distcurve, sobolev and decay runs of
+        scripts/run_experiments.py rebuild runs/ byte for byte."""
+        repo = SPECS.parent
+        assert run_cli(command, "--input", str(repo / spec), "--expect",
                        expect, *extra, "--out", str(tmp_path)) == 0
-        committed = SPECS.parent / "runs" / run
+        committed = repo / "runs" / run
         artifacts = sorted(p.name for p in committed.iterdir())
         assert sorted(p.name for p in tmp_path.iterdir()) == artifacts
         for artifact in artifacts:
@@ -485,6 +489,17 @@ class TestCliArtifacts:
                        "--input", str(SPECS / "unit_atom.json")) == 1
         err = capsys.readouterr().err
         assert f"{cfg}:1:" in err and "thresholdd" in err
+
+    @pytest.mark.parametrize("variant", ["Q", "A"])
+    def test_config_variant_obeys_the_flag_choices(self, tmp_path, capsys,
+                                                   variant):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": variant}, indent=2) + "\n")
+        assert run_cli("distcurve", "--input", str(SPECS / "unit_atom.json"),
+                       "--config", str(cfg)) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {cfg}:2: config key 'variant': invalid choice "
+            f"'{variant}' (choose from M, Mbar, Mtau)\n"))
 
 
     @pytest.mark.parametrize("command,text", [
