@@ -1,9 +1,11 @@
 """Distribution curves, tail verdicts, and the pointwise checks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxchar import level_sets
 from maxchar.bv import BVFunction1D
@@ -26,7 +28,7 @@ from maxchar.level_sets import (
     tail_verdict,
     weak11_constant,
 )
-from maxchar.maximal import RadiusGrid, maximal_field
+from maxchar.maximal import MaximalField, RadiusGrid, maximal_field
 from maxchar.measure import GridFunction, Measure, unit_atom
 
 
@@ -100,6 +102,105 @@ class TestSuperlevelVolume:
         assert not touches
         _, touches_low = superlevel_volume(fld, 0.05)
         assert touches_low
+
+
+def _superlevel_loop(field, lam):
+    """The volume of {field > lam} and its boundary flag counted at one
+    level: the reference for the one-pass kernel."""
+    v = field.values
+    h = field.grid.spacing
+    if field.grid.dimension == 1:
+        a, b = v[:-1], v[1:]
+        above_a = a > lam
+        above_b = b > lam
+        volume = h * float(np.count_nonzero(above_a & above_b))
+        cross = above_a != above_b
+        if np.any(cross):
+            hi = np.maximum(a[cross], b[cross])
+            lo = np.minimum(a[cross], b[cross])
+            frac = np.empty(hi.shape)
+            pos = lo > 0
+            frac[pos] = ((1.0 / lam - 1.0 / hi[pos])
+                         / (1.0 / lo[pos] - 1.0 / hi[pos]))
+            frac[~pos] = (hi[~pos] - lam) / (hi[~pos] - lo[~pos])
+            volume += h * float(np.sum(frac))
+        if v.size == 1:
+            return (h if v[0] > lam else 0.0), bool(v[0] > lam)
+        volume += 0.5 * h * (float(above_a[0]) + float(above_b[-1]))
+        return volume, bool(above_a[0] or above_b[-1])
+    above = v > lam
+    volume = float(np.count_nonzero(above)) * h * h
+    return volume, bool(above[0, :].any() or above[-1, :].any()
+                        or above[:, 0].any() or above[:, -1].any())
+
+
+def _field(values, h, extents):
+    grid = UniformGrid((0.0,) * len(extents), h, extents)
+    return MaximalField(grid, np.asarray(values, dtype=float), "M",
+                        RadiusGrid.geometric(h, 2.0 * h, 8))
+
+
+@st.composite
+def fields_and_levels(draw):
+    """A 1D field (single nodes included) or a 2D one (1 x n included) whose
+    values repeat a few levels and hold zeros, or a constant field; and
+    increasing levels, some of them equal to node values."""
+    if draw(st.booleans()):
+        extents = (draw(st.integers(1, 40)),)
+    else:
+        extents = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    n = math.prod(extents)
+    palette = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    values = draw(st.lists(
+        st.one_of(st.just(0.0), st.sampled_from(palette),
+                  st.floats(0.0, 1e3, allow_subnormal=False)),
+        min_size=n, max_size=n))
+    if draw(st.booleans()):
+        values = [values[0]] * n
+    on_nodes = sorted({x for x in values if x > 0}) or [1.0]
+    levels = draw(st.lists(st.one_of(st.sampled_from(on_nodes),
+                                     st.floats(1e-3, 2e3)),
+                           min_size=1, max_size=30))
+    field = _field(values, draw(st.floats(1e-3, 1.0)), extents)
+    return field, np.unique(levels)
+
+
+def _as_bits(volumes):
+    return np.asarray(volumes, dtype=float).view(np.uint64)
+
+
+class TestSuperlevelVolumes:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(fields_and_levels(),
+           st.sampled_from([(None, None), (3, 5), (1, 1)]))
+    def test_matches_the_level_loop_bit_for_bit(self, case, blocks):
+        field, lam = case
+        cell_block, pair_block = blocks
+        with mock.patch.object(level_sets, "_CELL_BLOCK",
+                               cell_block or level_sets._CELL_BLOCK), \
+                mock.patch.object(level_sets, "_PAIR_BLOCK",
+                                  pair_block or level_sets._PAIR_BLOCK):
+            volumes, flags = level_sets._superlevel_volumes(field, lam)
+        want = [_superlevel_loop(field, level) for level in lam]
+        assert np.array_equal(_as_bits(volumes),
+                              _as_bits([w[0] for w in want]))
+        assert flags.tolist() == [w[1] for w in want]
+        one = superlevel_volume(field, float(lam[-1]))
+        assert _as_bits([one[0]]) == _as_bits([want[-1][0]])
+        assert one[1] is want[-1][1]
+
+    def test_alternating_field_spans_several_level_blocks(self):
+        # most of the 20,000 cells cross all 97 levels: about 1.9 million
+        # crossing pairs, expanded a level block at a time
+        values = np.where(np.arange(20_001) % 2, 0.0, 500.0)
+        values[::7] = 3.0
+        field = _field(values, 1e-3, (values.size,))
+        lg = LambdaGrid.geometric(1.0, 100.0, 48)
+        curve = distribution_curve(field, lg)
+        want = [_superlevel_loop(field, level) for level in lg.lambdas]
+        assert np.array_equal(_as_bits(curve.volumes),
+                              _as_bits([w[0] for w in want]))
+        assert list(curve.flags) == [w[1] for w in want]
 
 
 class TestDistributionCurve:
@@ -301,6 +402,17 @@ class TestSobolevExperiment:
         res = sobolev_experiment(BVFunction1D(initial_value=3.0), h=5e-3)
         assert res.verdict.classification == DECAYS
         assert res.verdict.tail_max == 0.0
+
+    @pytest.mark.parametrize("h", [2.0, 10.0])
+    def test_step_between_samples_is_inconclusive(self, h):
+        # every node misses [0, 1), so the sampled step is 0 and A = 0
+        f = BVFunction1D(jumps=((0.0, 1.0), (1.0, -1.0)),
+                         compact_support=True)
+        res = sobolev_experiment(f, h=h)
+        assert not np.any(res.field.values)
+        assert res.verdict.classification == INCONCLUSIVE
+        assert res.verdict.reason == (f"no grid sample at h={h:g} differs "
+                                      "from the left-tail value of f")
 
 
 class TestReverseWeak11:

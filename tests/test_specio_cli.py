@@ -218,6 +218,88 @@ class TestGridBudgetCli:
         assert err.startswith(f"error: h={float(h):g} puts the top level")
 
 
+class _GridBuilt(Exception):
+    """Raised in place of building an evaluation grid."""
+
+
+def _workload_inputs(tmp_path, monkeypatch):
+    """(workload-seed, case, argv) of every distinct distcurve and sobolev
+    case that perfbench/workloads.py builds for seeds 0-3."""
+    path = SPECS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    distinct = {}
+    for workload in workloads.WORKLOADS:
+        for seed in range(4):
+            for case in workloads.build(workload, seed, SPECS.parent):
+                if case.command in ("distcurve", "sobolev"):
+                    key = (case.command, json.dumps(case.spec), case.flags)
+                    distinct.setdefault(key, (f"{workload}-{seed}", case))
+    for where, case in distinct.values():
+        path = tmp_path / f"{where}-{case.name}.json"
+        path.write_text(json.dumps(case.spec))
+        yield where, case.name, workloads.argv(case, path, tmp_path / "out")
+
+
+class TestWindowResolution:
+    @pytest.mark.parametrize("location, gap", [(1e15, "0.125"), (1e16, "2")],
+                             ids=["1e15", "1e16"])
+    def test_far_atom_exits_with_one_line(self, tmp_path, capsys, location,
+                                          gap):
+        # floats near 1e15 are 0.125 = 125 h apart, too coarse to place
+        # nodes h apart; near 1e16 the window's diameter rounds to 0
+        spec = tmp_path / "far_atom.json"
+        spec.write_text(json.dumps({"dimension": 1, "atoms": [
+            {"location": location, "weight": 1.0}]}))
+        assert run_cli("distcurve", "--input", str(spec)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: evaluation window [{location:g}, "
+                       f"{location:g}] cannot resolve h=0.001: floats there "
+                       f"are {gap} apart\n")
+
+    def test_every_committed_input_resolves(self, tmp_path, monkeypatch):
+        """The golden runs' specs and every perfbench distcurve and sobolev
+        input of seeds 0-3 get past the resolution rule to the grid.  The
+        tests and verify pass through the rule in their own tests."""
+        def built(*args):
+            raise _GridBuilt
+
+        monkeypatch.setattr(UniformGrid, "cover_cells", built)
+        runs = [("runs", run, [command, "--input", str(SPECS.parent / spec),
+                               *extra])
+                for run, command, spec, _, extra in EXPERIMENT_CASES
+                if command != "decay"]
+        runs += list(_workload_inputs(tmp_path, monkeypatch))
+        assert len(runs) > 50
+        refused = []
+        for where, name, argv in runs:
+            try:
+                main(argv)
+            except _GridBuilt:
+                continue
+            refused.append(f"{where}/{name}")
+        assert refused == []
+
+
+class TestUnresolvedStep:
+    @pytest.mark.parametrize("h", ["2", "5", "10", "100"])
+    def test_step_between_samples_exits_inconclusive(self, capsys, h):
+        # no node lands in [0, 1): every sample is 0 and A = 0, so the
+        # grid cannot tell the step from a constant
+        code = run_cli("sobolev", "--input", str(SPECS / "step.json"),
+                       "--h", h)
+        assert code == 2
+        out = capsys.readouterr().out
+        assert out.startswith("verdict=inconclusive\n"
+                              "classification=inconclusive\n")
+        assert out.endswith(f"reason=no grid sample at h={h} differs from "
+                            "the left-tail value of f\n")
+
+
 class TestCliExitCodes:
     def test_conclusive_match(self, capsys):
         code = run_cli("distcurve", "--input", str(SPECS / "unit_atom.json"),
