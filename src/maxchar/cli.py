@@ -17,6 +17,7 @@ byte-identical artifacts; MAXCHAR_SEED pins the verify corpus draws.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -373,8 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and kept for the
+    process: parse_args leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         cfg = _resolve(args, parser)

@@ -72,14 +72,44 @@ def _count_above(values: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.cumsum(hist[::-1])[::-1][1:]
 
 
+def _subcell_fractions(lo, hi, lam):
+    """Fraction of each crossed cell above its level: harmonic in position
+    (1/value affine) where the lower node value lo is positive, affine
+    where it is zero."""
+    frac = (hi - lam) / (hi - lo)
+    pos = lo > 0
+    lo, hi, lam = lo[pos], hi[pos], lam[pos]
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_lo = 1.0 / lo
+        harmonic = (1.0 / lam - 1.0 / hi) / (inv_lo - 1.0 / hi)
+    # below about 5.6e-309, 1/lo overflows: the same fraction in
+    # overflow-free form
+    over = np.isinf(inv_lo)
+    harmonic[over] = frac[pos][over] * (lo[over] / lam[over])
+    frac[pos] = harmonic
+    return frac
+
+
+# a level crossed by fewer cells than this is summed in a zero-padded table
+# row: np.sum adds fewer than 8 float64 terms left to right from zero, as
+# cumsum does, and sums longer runs pairwise
+_SHORT_RUN = 8
+
+
 def _crossing_sums(lo, hi, first, stop, lam: np.ndarray) -> np.ndarray:
     """Per level, the sum of the subcell fractions above it over the cells
-    it crosses, in cell order.  Cell c (lower and upper node value lo, hi)
-    crosses the levels first[c] <= j < stop[c]."""
+    it crosses, in cell order, with the bits of one np.sum per level.  Cell
+    c (lower and upper node value lo, hi) crosses the levels
+    first[c] <= j < stop[c].
+
+    The levels crossed by fewer than _SHORT_RUN cells are summed in one
+    pass, as the last column of the cumsum of a zero-padded
+    (level, _SHORT_RUN - 1) table; each longer run keeps its own np.sum."""
     sums = np.zeros(lam.size)
     crossing = np.cumsum(np.bincount(first, minlength=lam.size + 1)
                          - np.bincount(stop, minlength=lam.size + 1))[:-1]
     through = np.cumsum(crossing)
+    column = np.arange(_SHORT_RUN - 1)
     j0, done = 0, 0
     while done < through[-1]:
         # the next run of levels, holding at most _PAIR_BLOCK pairs
@@ -95,17 +125,18 @@ def _crossing_sums(lo, hi, first, stop, lam: np.ndarray) -> np.ndarray:
         # a stable sort keeps each level's cells in index order
         order = np.argsort(level, kind="stable")
         cell, level = cell[order], level[order]
-        lo_p, hi_p, lam_p = lo[cell], hi[cell], lam[level]
-        frac = np.empty(cell.size)
-        pos = lo_p > 0
-        frac[pos] = ((1.0 / lam_p[pos] - 1.0 / hi_p[pos])
-                     / (1.0 / lo_p[pos] - 1.0 / hi_p[pos]))
-        neg = ~pos
-        frac[neg] = (hi_p[neg] - lam_p[neg]) / (hi_p[neg] - lo_p[neg])
-        # one np.sum per level: np.add.reduceat would round differently
-        for j in j0 + np.flatnonzero(crossing[j0:j1]):
-            sums[j] = np.sum(frac[through[j] - crossing[j] - done:
-                                  through[j] - done])
+        frac = _subcell_fractions(lo[cell], hi[cell], lam[level])
+        # level j's fractions are frac[begin[j] : begin[j] + crossing[j]]
+        levels = j0 + np.flatnonzero(crossing[j0:j1])
+        runs = crossing[levels]
+        begin = through[levels] - runs - done
+        short = runs < _SHORT_RUN
+        at = np.minimum(begin[short, None] + column, frac.size - 1)
+        table = np.where(column < runs[short, None], frac[at], 0.0)
+        sums[levels[short]] = np.cumsum(table, axis=1)[:, -1]
+        # np.add.reduceat would round differently
+        for j, b, n in zip(levels[~short], begin[~short], runs[~short]):
+            sums[j] = np.sum(frac[b:b + n])
         j0, done = j1, through[j1 - 1]
     return sums
 
@@ -118,15 +149,18 @@ def _superlevel_volumes(field: MaximalField, lam: np.ndarray):
     In d=1 the set is resolved below grid scale: between adjacent nodes the
     field is modeled as harmonic in position (1/value affine), which is the
     exact profile of a far-field atom; the level crossing lands at the
-    matching subcell fraction.  Cells whose lower node is zero fall back to
-    affine interpolation.  End nodes own half a cell beyond the pairwise
-    intervals.  In d=2 the volume is the node count times the cell area.
-    A flag reports the set touching the window boundary.
+    matching subcell fraction (in overflow-free form for subnormal values).
+    Cells whose lower node is zero fall back to affine interpolation.  End
+    nodes own half a cell beyond the pairwise intervals.  In d=2 the volume
+    is the node count times the cell area.  A flag reports the set touching
+    the window boundary.
 
     A node's or cell's levels are found by binary search and counted in a
     histogram; a cell crosses one contiguous run of levels, so a curve
     costs O(n log L + L + P log P) for n nodes, L levels and P
     (cell, level) crossings, against O(n L) for a level-by-level count.
+    The fractions of the levels crossed by fewer than 8 cells are summed in
+    one vectorized pass, those of each other level by its own np.sum.
     """
     v = field.values
     h = field.grid.spacing
@@ -174,6 +208,8 @@ class DistributionCurve:
         flg = np.asarray(self.flags, dtype=bool)
         if not (lam.size == vol.size == flg.size):
             raise ValueError("mismatched sample arrays")
+        if not np.all(np.isfinite(vol)):
+            raise ValueError("volumes must be finite")
         if np.any(vol < 0):
             raise ValueError("negative volume")
         slack = _FP * (1.0 + vol.max(initial=0.0))

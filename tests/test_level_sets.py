@@ -103,6 +103,40 @@ class TestSuperlevelVolume:
         _, touches_low = superlevel_volume(fld, 0.05)
         assert touches_low
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310])
+    def test_subnormal_values_keep_the_harmonic_model(self, scale):
+        # 1/value overflows below about 5.6e-309; the fraction must not
+        field = _field([scale, 3.0 * scale, 0.0], 1.0, (3,))
+        vol, touches = superlevel_volume(field, 2.0 * scale)
+        assert vol == pytest.approx(0.25 + 1.0 / 3.0, rel=1e-12)
+        assert not touches
+
+    def test_overflowing_lower_value_keeps_its_fraction(self):
+        # 1/lo overflows while 1/lam and 1/hi do not: the cell's fraction
+        # is about lo/lam = 1e-5, not 0
+        field = _field([1e-310, 1e-300, 0.0], 1.0, (3,))
+        vol, _ = superlevel_volume(field, 1e-305)
+        cell = (1e-300 - 1e-305) / (1e-300 - 1e-310) * 1e-5
+        assert vol == pytest.approx(cell + (1e-300 - 1e-305) / 1e-300,
+                                    rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 16), min_size=1, max_size=30),
+           st.lists(st.integers(0, 16), min_size=1, max_size=10),
+           st.one_of(st.sampled_from([1.0, 1e-300, 1e-308, 1e-310]),
+                     st.floats(1e-310, 1.0)))
+    def test_volumes_scale_with_the_field(self, quarters, eighths, c):
+        # node values k/4 and levels (2k+1)/8 keep every difference far
+        # above the rounding of c * v, even for subnormal c * v
+        values = np.array(quarters) / 4.0
+        lam = np.unique((2.0 * np.array(eighths) + 1.0) / 8.0)
+        want, want_flags = level_sets._superlevel_volumes(
+            _field(values, 1.0, (values.size,)), lam)
+        got, flags = level_sets._superlevel_volumes(
+            _field(c * values, 1.0, (values.size,)), c * lam)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        assert flags.tolist() == want_flags.tolist()
+
 
 def _superlevel_loop(field, lam):
     """The volume of {field > lam} and its boundary flag counted at one
@@ -165,13 +199,33 @@ def fields_and_levels(draw):
     return field, np.unique(levels)
 
 
+@st.composite
+def crossed_levels(draw):
+    """A 1D zigzag whose k = 7, 8 or 9 cells all cross the levels in (1, 2),
+    padded at both ends by cells crossing fewer levels above 3: both sides
+    of the short-run split of `_crossing_sums` in one field."""
+    k = draw(st.sampled_from([7, 8, 9]))
+    low = st.one_of(st.just(0.0),
+                    st.floats(0.0, 1.0, allow_subnormal=False))
+    zigzag = [draw(st.floats(2.0, 3.0)) if i % 2 else draw(low)
+              for i in range(k + 1)]
+    pad = st.lists(st.floats(3.0, 6.0), max_size=3)
+    values = draw(pad) + zigzag + draw(pad)
+    levels = draw(st.lists(st.floats(1.0, 2.0, exclude_min=True,
+                                     exclude_max=True),
+                           min_size=1, max_size=20))
+    levels += draw(st.lists(st.floats(1e-3, 7.0), max_size=10))
+    field = _field(values, draw(st.floats(1e-3, 1.0)), (len(values),))
+    return field, np.unique(levels)
+
+
 def _as_bits(volumes):
     return np.asarray(volumes, dtype=float).view(np.uint64)
 
 
 class TestSuperlevelVolumes:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(fields_and_levels(),
+    @given(st.one_of(fields_and_levels(), crossed_levels()),
            st.sampled_from([(None, None), (3, 5), (1, 1)]))
     def test_matches_the_level_loop_bit_for_bit(self, case, blocks):
         field, lam = case
@@ -188,6 +242,20 @@ class TestSuperlevelVolumes:
         one = superlevel_volume(field, float(lam[-1]))
         assert _as_bits([one[0]]) == _as_bits([want[-1][0]])
         assert one[1] is want[-1][1]
+
+    def test_short_sums_add_left_to_right(self):
+        # the short-run table relies on np.sum adding fewer than 8 terms
+        # left to right from zero, as the last column of a cumsum does
+        rng = np.random.default_rng(16)
+        width = level_sets._SHORT_RUN - 1
+        for n in range(1, level_sets._SHORT_RUN):
+            terms = rng.random((2000, n)) * 10.0 ** rng.uniform(-8, 8,
+                                                                (2000, n))
+            table = np.zeros((2000, width))
+            table[:, :n] = terms
+            want = np.array([np.sum(row) for row in terms])
+            assert np.array_equal(_as_bits(np.cumsum(table, axis=1)[:, -1]),
+                                  _as_bits(want)), n
 
     def test_alternating_field_spans_several_level_blocks(self):
         # most of the 20,000 cells cross all 97 levels: about 1.9 million
@@ -216,6 +284,11 @@ class TestDistributionCurve:
     def test_rejects_negative_volume(self):
         with pytest.raises(ValueError, match="negative"):
             synthetic_curve((1.0, 2.0), (1.0, -0.1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_volume(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            synthetic_curve((1.0, 2.0), (bad, 0.5))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatched"):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from maxchar import cli
 from maxchar.bv import BVFunction1D
 from maxchar.cli import main
 from maxchar.decay import DecayReport, TimeField
@@ -600,6 +601,47 @@ class TestCliArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "must be an integer" in err
+
+
+class TestParserReuse:
+    RUNS = {
+        "distcurve": ("distcurve", "--input", str(SPECS / "unit_atom.json"),
+                      "--h", "0.005", "--radii", "24"),
+        "sobolev": ("sobolev", "--input", str(SPECS / "tent.json"),
+                    "--h", "0.002"),
+    }
+
+    @staticmethod
+    def _run(argv, out, capsys):
+        code = run_cli(*argv, "--out", str(out))
+        artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return code, capsys.readouterr().out, artifacts
+
+    def test_repeated_calls_build_one_parser(self, tmp_path, capsys,
+                                             monkeypatch):
+        first = {}
+        for name, argv in self.RUNS.items():
+            cli._parser.cache_clear()
+            first[name] = self._run(argv, tmp_path / f"first-{name}", capsys)
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        assert run_cli("distcurve", "--input", str(SPECS / "unit_atom.json"),
+                       "--frobnicate") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        for i, name in enumerate(("distcurve", "sobolev", "distcurve")):
+            again = self._run(self.RUNS[name], tmp_path / f"{i}-{name}",
+                              capsys)
+            assert again == first[name], name
+        assert first["distcurve"][0] == 0 and first["sobolev"][0] == 0
+        assert len(builds) == 1
+
 
 class TestCliVerify:
     def test_verify_artifacts_are_reproducible(self, tmp_path, monkeypatch,
