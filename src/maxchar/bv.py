@@ -144,53 +144,36 @@ class BVFunction1D:
     def l1_norm(self, a: float, b: float) -> float:
         return self.abs_deviation_integral(a, b, 0.0)
 
-    def tv_open(self, a: float, b: float) -> float:
-        """|Df|((a, b)): jumps strictly inside, consistent with open balls."""
+    def _variation(self, a: float, b: float, weight) -> float:
+        """Integral of weight(eta) d|Df| over (a, b), with eta the sign of
+        the derivative: slopes clipped to (a, b), jumps strictly inside."""
         if b <= a:
             return 0.0
-        tv = 0.0
+        total = 0.0
         if self._bp.size:
             lo = np.maximum(self._bp[:-1], a)
             hi = np.minimum(self._bp[1:], b)
-            tv += float(np.sum(np.abs(self._sl) * np.maximum(0.0, hi - lo)))
-        inside = (self._jloc > a) & (self._jloc < b)
-        tv += float(np.sum(np.abs(self._jh[inside])))
-        return tv
+            lens = np.maximum(0.0, hi - lo)
+            total += float(np.sum(
+                weight(np.sign(self._sl)) * np.abs(self._sl) * lens))
+        jh = self._jh[(self._jloc > a) & (self._jloc < b)]
+        total += float(np.sum(weight(np.sign(jh)) * np.abs(jh)))
+        return total
+
+    def tv_open(self, a: float, b: float) -> float:
+        """|Df|((a, b)): jumps strictly inside, consistent with open balls."""
+        return self._variation(a, b, lambda eta: 1.0)
 
     def penalty_integral(self, a: float, b: float, nu: float) -> float:
         """Directional penalty: integral of (1 - nu * eta) d|Df| over (a, b),
         with eta the sign of the derivative."""
         if abs(abs(nu) - 1.0) > _EPS:
             raise ValueError("direction must be a unit vector")
-        if b <= a:
-            return 0.0
-        total = 0.0
-        if self._bp.size:
-            lo = np.maximum(self._bp[:-1], a)
-            hi = np.minimum(self._bp[1:], b)
-            lens = np.maximum(0.0, hi - lo)
-            total += float(np.sum(
-                (1.0 - nu * np.sign(self._sl)) * np.abs(self._sl) * lens))
-        inside = (self._jloc > a) & (self._jloc < b)
-        total += float(np.sum(
-            (1.0 - nu * np.sign(self._jh[inside])) * np.abs(self._jh[inside])))
-        return total
+        return self._variation(a, b, lambda eta: 1.0 - nu * eta)
 
     def any_vector_penalty(self, a: float, b: float, v: float) -> float:
         """Penalty 2 * integral of |eta - v| d|Df| over (a, b), v arbitrary."""
-        if b <= a:
-            return 0.0
-        total = 0.0
-        if self._bp.size:
-            lo = np.maximum(self._bp[:-1], a)
-            hi = np.minimum(self._bp[1:], b)
-            lens = np.maximum(0.0, hi - lo)
-            total += float(np.sum(
-                np.abs(np.sign(self._sl) - v) * np.abs(self._sl) * lens))
-        inside = (self._jloc > a) & (self._jloc < b)
-        total += float(np.sum(
-            np.abs(np.sign(self._jh[inside]) - v) * np.abs(self._jh[inside])))
-        return 2.0 * total
+        return 2.0 * self._variation(a, b, lambda eta: np.abs(eta - v))
 
 
 # ----------------------------------------------------------------------

@@ -12,16 +12,18 @@ Exit codes: 0 when the verdict is conclusive and matches --expect (or no
 expectation was given), 2 when it is inconclusive, 3 on a conclusive
 mismatch, 1 on usage, I/O, or schema errors.  Identical inputs produce
 byte-identical artifacts; MAXCHAR_SEED pins the verify corpus draws.
+
+The parser is the one schema: each flag's type checks its range, its
+dest is the experiment's keyword, and a --config file's keys are the
+long flag names, each value checked by its flag's type and choices.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -46,137 +48,82 @@ class _Parser(argparse.ArgumentParser):
         raise SpecSchemaError(message)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved parameters for one subcommand run.
-
-    Flags win over config-file entries; None falls through to the library
-    default of the experiment being run.
+def _checked(kind, valid, rule: str):
+    """A flag type: the text read as `kind`, refused unless `valid`.  It
+    takes the name of `kind`, so that a malformed number still reads
+    `invalid int value: 'abc'`, and `kind` is what a config value must be.
     """
+    def parse(text):
+        value = kind(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
 
-    command: str
-    input: Optional[Path] = None
-    variant: Optional[str] = None
-    tau: Optional[float] = None
-    h: Optional[float] = None
-    radii: Optional[int] = None
-    lambda_decades: Optional[float] = None
-    threshold: Optional[float] = None
-    expect: Optional[str] = None
-    out: Optional[Path] = None
-    corpus_size: Optional[int] = None
-
-    def __post_init__(self):
-        for name in ("tau", "h", "radii", "lambda_decades", "threshold"):
-            val = getattr(self, name)
-            if val is not None and not 0 < val < math.inf:
-                raise SpecSchemaError(
-                    f"{name} must be positive and finite, got {val}")
-        if self.lambda_decades is not None and self.lambda_decades < 1:
-            # the tail verdict reads the top decade of levels
-            raise SpecSchemaError("lambda_decades must be at least 1, got "
-                                  f"{self.lambda_decades}")
-        if self.corpus_size is not None and self.corpus_size < 1:
-            raise SpecSchemaError("corpus size must be at least 1")
-        if self.input is not None and not Path(self.input).is_file():
-            raise SpecSchemaError("input file not found", path=self.input)
+    parse.__name__ = kind.__name__
+    parse.kind = kind
+    return parse
 
 
-_COMMAND_KEYS = {
-    "distcurve": frozenset({"input", "variant", "tau", "h", "radii",
-                            "lambda_decades", "threshold", "expect", "out"}),
-    "sobolev": frozenset({"input", "h", "radii", "lambda_decades",
-                          "threshold", "expect", "out"}),
-    "decay": frozenset({"input", "h", "radii", "threshold", "expect", "out"}),
-    "verify": frozenset({"out", "corpus_size"}),
-}
-
-_PATH_KEYS = frozenset({"input", "out"})
-_STR_KEYS = frozenset({"variant", "expect"})
-_INT_KEYS = frozenset({"radii", "corpus_size"})
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf,
+                     "positive and finite")
+# the tail verdict reads the top decade of levels
+_DECADES = _checked(float, lambda v: 1 <= v < math.inf,
+                    "finite and at least 1")
+_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
 
 
-def _coerce(name: str, value, path):
-    if name in _PATH_KEYS or name in _STR_KEYS:
+def _input_file(text: str) -> Path:
+    if not Path(text).is_file():
+        raise argparse.ArgumentTypeError(f"{text}: input file not found")
+    return Path(text)
+
+
+def _config_value(ctx, key: str, value, flag: argparse.Action):
+    """A config entry checked as the flag's own text would be: for the
+    JSON kind its type reads, then by that type and the flag's choices."""
+    kind = getattr(flag.type, "kind", str)
+    if kind is str:
         if not isinstance(value, str):
-            raise SpecSchemaError(f"config key '{name}' must be a string",
-                                  path=path)
-        return Path(value) if name in _PATH_KEYS else value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecSchemaError(f"config key '{name}' must be a number",
-                              path=path)
-    if name in _INT_KEYS:
+            raise ctx.fail(f"config key '{key}' must be a string", key)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ctx.fail(f"config key '{key}' must be a number", key)
+    elif kind is int:
         # inf and nan are floats that are not integers
         if isinstance(value, float) and not value.is_integer():
-            raise SpecSchemaError(f"config key '{name}' must be an integer",
-                                  path=path)
-        return int(value)
-    return float(value)
+            raise ctx.fail(f"config key '{key}' must be an integer", key)
+        value = int(value)
+    if flag.type is not None:
+        try:
+            value = flag.type(str(value))
+        except argparse.ArgumentTypeError as e:
+            raise ctx.fail(f"config key '{key}': {e}", key)
+    if flag.choices and value not in flag.choices:
+        raise ctx.fail(f"config key '{key}': invalid choice '{value}' "
+                       f"(choose from {', '.join(flag.choices)})", key)
+    return value
 
 
-def _key_line(text: str, key: str) -> Optional[int]:
-    """Line of the first occurrence of "key" in a config file's text."""
-    needle = f'"{key}"'
-    return (text[:text.index(needle)].count("\n") + 1
-            if needle in text else None)
-
-
-def _flag_choices(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> choices of the command's flags that have them, read from the
-    parser so that config-file values obey the same lists."""
+def _merge_config(args: argparse.Namespace,
+                  parser: argparse.ArgumentParser):
+    """Fill the flags left unset from the --config file.  Its keys are the
+    command's long flag names, with - or _; every entry is checked, also
+    one that a flag overrides."""
+    obj, ctx = specio.read_object(args.config)
     sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction)).choices[command]
-    return {a.dest: a.choices for a in sub._actions if a.choices}
-
-
-def _load_config_file(path, command: str, choices: dict) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise SpecSchemaError(f"cannot read config: {e.strerror or e}",
-                              path=path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SpecSchemaError(f"invalid JSON: {e.msg}", path=path,
-                              line=e.lineno)
-    if not isinstance(data, dict):
-        raise SpecSchemaError("config root must be an object", path=path,
-                              line=1)
-    allowed = _COMMAND_KEYS[command]
-    out = {}
-    for key, value in data.items():
-        canon = key.replace("-", "_")
-        if canon not in allowed:
-            raise SpecSchemaError(
-                f"config key '{key}' is not recognized for {command}",
-                path=path, line=_key_line(text, key))
+               if isinstance(a, argparse._SubParsersAction)
+               ).choices[args.command]
+    flags = {opt[2:]: a for a in sub._actions for opt in a.option_strings
+             if opt.startswith("--") and a.dest not in ("help", "config")}
+    for key, value in obj.items():
+        flag = flags.get(key.replace("_", "-"))
+        if flag is None:
+            raise ctx.fail(f"config key '{key}' is not recognized for "
+                           f"{args.command}", key)
         if value is None:
             continue
-        value = _coerce(canon, value, path)
-        if canon in choices and value not in choices[canon]:
-            raise SpecSchemaError(
-                f"config key '{key}': invalid choice '{value}' (choose from "
-                f"{', '.join(choices[canon])})", path=path,
-                line=_key_line(text, key))
-        out[canon] = value
-    return out
-
-
-def _resolve(args: argparse.Namespace,
-             parser: argparse.ArgumentParser) -> ExperimentConfig:
-    from_file = {}
-    if getattr(args, "config", None) is not None:
-        from_file = _load_config_file(args.config, args.command,
-                                      _flag_choices(parser, args.command))
-    merged = {}
-    for name in _COMMAND_KEYS[args.command]:
-        flag_val = getattr(args, name, None)
-        if flag_val is not None:
-            merged[name] = flag_val
-        elif name in from_file:
-            merged[name] = from_file[name]
-    return ExperimentConfig(command=args.command, **merged)
+        value = _config_value(ctx, key, value, flag)
+        if getattr(args, flag.dest) is None:
+            setattr(args, flag.dest, value)
 
 
 # --expect words for the shared verdicts; sobolev also takes the names it
@@ -191,14 +138,15 @@ _EXPECT_SOBOLEV = {**_EXPECT, "w11": DECAYS, "bv-with-jumps": PERSISTS,
                    "bv_with_jumps": PERSISTS}
 
 
-def _expected(cfg: ExperimentConfig, table: dict = _EXPECT) -> Optional[str]:
-    if cfg.expect is None:
+def _expected(args: argparse.Namespace,
+              table: dict = _EXPECT) -> Optional[str]:
+    if args.expect is None:
         return None
-    key = cfg.expect.lower()
+    key = args.expect.lower()
     if key not in table:
         choices = ", ".join(sorted(set(table)))
         raise SpecSchemaError(
-            f"unknown expectation '{cfg.expect}' (choices: {choices})")
+            f"unknown expectation '{args.expect}' (choices: {choices})")
     return table[key]
 
 
@@ -210,47 +158,43 @@ def _verdict_exit(classification: str, expected: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _require_input(cfg: ExperimentConfig) -> Path:
-    if cfg.input is None:
+def _require_input(args: argparse.Namespace) -> Path:
+    if args.input is None:
         raise SpecSchemaError("missing --input (flag or config file)")
-    return cfg.input
+    return args.input
 
 
-def _experiment_kwargs(cfg: ExperimentConfig) -> dict:
-    kwargs = {}
-    if cfg.h is not None:
-        kwargs["h"] = cfg.h
-    if cfg.radii is not None:
-        kwargs["radii_per_decade"] = cfg.radii
-    if cfg.lambda_decades is not None:
-        kwargs["lambda_decades"] = cfg.lambda_decades
-    if cfg.threshold is not None:
-        kwargs["threshold"] = cfg.threshold
-    return kwargs
+# dests of the flags that steer the harness rather than the experiment
+_HARNESS = frozenset({"command", "input", "expect", "out", "config"})
 
 
-def _write_curve(cfg: ExperimentConfig, curve, block: str, title: str):
+def _experiment_args(args: argparse.Namespace) -> dict:
+    """The given flags by their dests, which are the experiment's keywords;
+    an unset one falls through to the experiment's default."""
+    return {k: v for k, v in vars(args).items()
+            if v is not None and k not in _HARNESS}
+
+
+def _write_curve(args: argparse.Namespace, curve, block: str, title: str):
     """curve.csv, verdict.txt and curve.svg into --out, if given."""
-    if cfg.out is None:
+    if args.out is None:
         return
-    out = Path(cfg.out)
-    specio.write_text(out / "curve.csv", specio.distribution_csv(curve))
-    specio.write_text(out / "verdict.txt", block)
+    specio.write_text(args.out / "curve.csv", specio.distribution_csv(curve))
+    specio.write_text(args.out / "verdict.txt", block)
     svg = line_plot_svg(curve.lambdas, curve.products, title=title,
                         xlabel="lambda", ylabel="lambda * volume")
-    specio.write_text(out / "curve.svg", svg)
+    specio.write_text(args.out / "curve.svg", svg)
 
 
-def _cmd_distcurve(cfg: ExperimentConfig) -> int:
-    expected = _expected(cfg)
-    mu = specio.load_measure(_require_input(cfg))
-    variant = cfg.variant or "M"
-    if variant == "Mtau" and cfg.tau is None:
+def _cmd_distcurve(args: argparse.Namespace) -> int:
+    expected = _expected(args)
+    mu = specio.load_measure(_require_input(args))
+    if args.variant == "Mtau" and args.tau is None:
         raise SpecSchemaError("variant Mtau requires --tau")
-    res = distribution_experiment(mu, variant, tau=cfg.tau,
-                                  **_experiment_kwargs(cfg))
+    res = distribution_experiment(mu, **_experiment_args(args))
     block = specio.verdict_block(res.verdict)
-    _write_curve(cfg, res.curve, block, f"level products, variant {variant}")
+    _write_curve(args, res.curve, block,
+                 f"level products, variant {args.variant or 'M'}")
     sys.stdout.write(block)
     return _verdict_exit(res.verdict.classification, expected)
 
@@ -260,47 +204,38 @@ _SOBOLEV_WORDS = {DECAYS: "W11", PERSISTS: "BV-with-jumps",
                   INCONCLUSIVE: "inconclusive"}
 
 
-def _cmd_sobolev(cfg: ExperimentConfig) -> int:
-    expected = _expected(cfg, _EXPECT_SOBOLEV)
-    f = specio.load_bv(_require_input(cfg))
-    res = sobolev_experiment(f, **_experiment_kwargs(cfg))
+def _cmd_sobolev(args: argparse.Namespace) -> int:
+    expected = _expected(args, _EXPECT_SOBOLEV)
+    f = specio.load_bv(_require_input(args))
+    res = sobolev_experiment(f, **_experiment_args(args))
     name = _SOBOLEV_WORDS[res.verdict.classification]
     block = f"verdict={name}\n" + specio.verdict_block(res.verdict)
-    _write_curve(cfg, res.curve, block, "oscillation level products")
+    _write_curve(args, res.curve, block, "oscillation level products")
     sys.stdout.write(block)
     return _verdict_exit(res.verdict.classification, expected)
 
 
-def _cmd_decay(cfg: ExperimentConfig) -> int:
-    expected = _expected(cfg)
-    tf = specio.load_timefield(_require_input(cfg))
-    kwargs = {}
-    if cfg.h is not None:
-        kwargs["h_background"] = cfg.h
-    if cfg.radii is not None:
-        kwargs["per_decade"] = cfg.radii
-    if cfg.threshold is not None:
-        kwargs["threshold"] = cfg.threshold
-    report = decay_sweep(tf, **kwargs)
+def _cmd_decay(args: argparse.Namespace) -> int:
+    expected = _expected(args)
+    tf = specio.load_timefield(_require_input(args))
+    report = decay_sweep(tf, **_experiment_args(args))
     block = specio.decay_block(report)
-    if cfg.out is not None:
-        out = Path(cfg.out)
-        specio.write_text(out / "decay.csv", specio.decay_csv(report))
-        specio.write_text(out / "report.txt", block)
+    if args.out is not None:
+        specio.write_text(args.out / "decay.csv", specio.decay_csv(report))
+        specio.write_text(args.out / "report.txt", block)
         svg = line_plot_svg(report.deltas, report.q_values,
                             title="clipped decay quantity",
                             xlabel="delta", ylabel="Q")
-        specio.write_text(out / "decay.svg", svg)
+        specio.write_text(args.out / "decay.svg", svg)
     sys.stdout.write(block)
     return _verdict_exit(report.verdict, expected)
 
 
-def _cmd_verify(cfg: ExperimentConfig) -> int:
-    rep = run_verify(corpus_size=cfg.corpus_size)
-    if cfg.out is not None:
-        out = Path(cfg.out)
-        specio.write_text(out / "report.txt", rep.text)
-        specio.write_text(out / "constants.json",
+def _cmd_verify(args: argparse.Namespace) -> int:
+    rep = run_verify(**_experiment_args(args))
+    if args.out is not None:
+        specio.write_text(args.out / "report.txt", rep.text)
+        specio.write_text(args.out / "constants.json",
                           constants_json(rep.constants))
     sys.stdout.write(rep.text)
     return EXIT_OK if rep.passed else EXIT_ERROR
@@ -315,30 +250,28 @@ _HANDLERS = {
 
 
 def _add_common(p, *, variants=None, spectral=True):
-    p.add_argument("--input", type=Path, default=None,
+    p.add_argument("--input", type=_input_file,
                    help="JSON spec file to load")
     if variants is not None:
-        p.add_argument("--variant", choices=variants, default=None,
+        p.add_argument("--variant", choices=variants,
                        help="maximal operator to evaluate")
-    p.add_argument("--h", type=float, default=None,
+    p.add_argument("--h", type=_POSITIVE,
                    help="grid spacing (background cell size for decay)")
-    p.add_argument("--radii", type=int, default=None,
-                   help="radius samples per decade")
+    p.add_argument("--radii", type=_COUNT, dest="radii_per_decade",
+                   metavar="RADII", help="radius samples per decade")
     if spectral:
-        p.add_argument("--lambda-decades", type=float, default=None,
-                       dest="lambda_decades",
+        p.add_argument("--lambda-decades", type=_DECADES,
                        help="level range span in decades")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_POSITIVE,
                    help="absolute persistence threshold")
-    p.add_argument("--expect", default=None,
-                   help="expected verdict; mismatch exits 3")
+    p.add_argument("--expect", help="expected verdict; mismatch exits 3")
     _add_output(p)
 
 
 def _add_output(p):
-    p.add_argument("--out", type=Path, default=None,
+    p.add_argument("--out", type=Path,
                    help="directory for CSV/SVG/verdict artifacts")
-    p.add_argument("--config", type=Path, default=None,
+    p.add_argument("--config", type=Path,
                    help="JSON config file; flags win on conflict")
 
 
@@ -352,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="distribution curve and tail verdict of a "
                             "maximal field")
     _add_common(p, variants=("M", "Mbar", "Mtau"))
-    p.add_argument("--tau", type=float, default=None,
+    p.add_argument("--tau", type=_POSITIVE,
                    help="radius cutoff for the Mtau variant")
 
     p = sub.add_parser("sobolev",
@@ -367,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify",
                        help="run the bundled verification corpus")
-    p.add_argument("--corpus-size", type=int, default=None,
-                   dest="corpus_size",
+    p.add_argument("--corpus-size", type=_COUNT,
                    help="randomized draw count per check (default full)")
     _add_output(p)
     return parser
@@ -385,8 +317,9 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve(args, parser)
-        return _HANDLERS[cfg.command](cfg)
+        if args.config is not None:
+            _merge_config(args, parser)
+        return _HANDLERS[args.command](args)
     except MaxcharError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

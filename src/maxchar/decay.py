@@ -241,12 +241,13 @@ def _q_value(w: np.ndarray, fields, delta: float) -> float:
     return total / abs(math.log(delta))
 
 
-def decay_quantity(tf: TimeField, delta: float,
-                   h_background: Optional[float] = None,
-                   per_decade: int = _PER_DECADE) -> float:
-    """Q(B; delta) by graded-mesh quadrature, exact time weighting."""
+def decay_quantity(tf: TimeField, delta: float, h: Optional[float] = None,
+                   radii_per_decade: int = _PER_DECADE) -> float:
+    """Q(B; delta) by graded-mesh quadrature, exact time weighting.  h is
+    the background cell size, by default the ball's diameter over 256 (1D)
+    or 128 (2D); radii_per_decade samples the maximal function's radii."""
     _validate_delta(delta)
-    fields = _prepare_slices(tf, delta, h_background, per_decade)
+    fields = _prepare_slices(tf, delta, h, radii_per_decade)
     return _q_value(tf.time_weights(), fields, delta)
 
 
@@ -273,12 +274,12 @@ class DecayReport:
 
 
 def decay_sweep(tf: TimeField, threshold: Optional[float] = None,
-                h_background: Optional[float] = None,
-                per_decade: int = _PER_DECADE) -> DecayReport:
-    """Q across DEFAULT_DELTAS, classified over the smallest decade.
-    Meshes are built once at the finest delta and reused; the clipped
-    integrand only loosens at coarser delta, so the finest mesh dominates
-    every coarser requirement.
+                h: Optional[float] = None,
+                radii_per_decade: int = _PER_DECADE) -> DecayReport:
+    """Q across DEFAULT_DELTAS, classified over the smallest decade; h and
+    radii_per_decade as in decay_quantity.  Meshes are built once at the
+    finest delta and reused; the clipped integrand only loosens at coarser
+    delta, so the finest mesh dominates every coarser requirement.
     """
     deltas = DEFAULT_DELTAS
     sing_open = tf.singular_timeintegral(closed=False)
@@ -290,7 +291,7 @@ def decay_sweep(tf: TimeField, threshold: Optional[float] = None,
         qs = tuple(0.0 for _ in deltas)
         return DecayReport(deltas, qs, 0.0, 0.0, DECAYS, 0.0, 0.0,
                            float(threshold))
-    fields = _prepare_slices(tf, deltas[-1], h_background, per_decade)
+    fields = _prepare_slices(tf, deltas[-1], h, radii_per_decade)
     w = tf.time_weights()
     qs = [_q_value(w, fields, delta) for delta in deltas]
     dl = np.asarray(deltas)

@@ -513,10 +513,9 @@ def _run_deviations(prefix, runs, i_lo, K, means):
 _RUN_PATH_WIDTH = 16
 
 
-def _oscillation_field_1d(f: GridFunction, rg: RadiusGrid,
-                          path: Optional[str] = None):
-    """path forces "runs" or "window" on every radius (for tests); None
-    applies the cost rule W > _RUN_PATH_WIDTH * (run count)."""
+def _oscillation_field_1d(f: GridFunction, rg: RadiusGrid):
+    """A f and its flags; a width takes the run path by the cost rule
+    W > _RUN_PATH_WIDTH * (run count), the window path otherwise."""
     vals = f.values
     n = len(vals)
     h = f.grid.spacing
@@ -544,11 +543,7 @@ def _oscillation_field_1d(f: GridFunction, rg: RadiusGrid,
         W = 2 * K + 1
         centers = np.arange(i_lo, i_hi + 1)
         means = (prefix[centers + K + 1] - prefix[centers - K]) / W
-        if path is None:
-            use_runs = W > _RUN_PATH_WIDTH * len(runs)
-        else:
-            use_runs = path == "runs"
-        if use_runs:
+        if W > _RUN_PATH_WIDTH * len(runs):
             dev = _run_deviations(prefix, runs, i_lo, K, means)
         else:
             dev = _window_deviations(vals, i_lo, K, means)

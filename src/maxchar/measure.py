@@ -209,21 +209,13 @@ class Measure:
         if self.density is not None:
             grid, values = self.density
             nz = np.nonzero(values)
-            if self.dimension == 1:
-                idx = nz[0]
-                if idx.size:
-                    ax = grid.axis(0)
-                    h = 0.5 * grid.spacing
-                    los.append(np.array([ax[idx.min()] - h]))
-                    his.append(np.array([ax[idx.max()] + h]))
-            else:
-                if nz[0].size:
-                    h = 0.5 * grid.spacing
-                    a0, a1 = grid.axis(0), grid.axis(1)
-                    los.append(np.array([a0[nz[0].min()] - h,
-                                         a1[nz[1].min()] - h]))
-                    his.append(np.array([a0[nz[0].max()] + h,
-                                         a1[nz[1].max()] + h]))
+            if nz[0].size:
+                h = 0.5 * grid.spacing
+                axes = [grid.axis(k) for k in range(self.dimension)]
+                los.append(np.array([ax[idx.min()] - h
+                                     for ax, idx in zip(axes, nz)]))
+                his.append(np.array([ax[idx.max()] + h
+                                     for ax, idx in zip(axes, nz)]))
         for pts, rho, _ in self._curve_data:
             if rho != 0.0:
                 los.append(pts.min(axis=0))

@@ -160,39 +160,35 @@ def _parse_timefield(obj: dict, ctx: _Ctx) -> TimeField:
         raise ctx.fail(f"invalid time field: {e}", "times")
 
 
-def _read(path) -> _Ctx:
+def read_object(path):
+    """(object, context) of a JSON file whose top level is an object; the
+    context's errors name the file and the line of a key."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as e:
         raise SpecSchemaError(str(e), path=str(path))
-    return _Ctx(p, text)
-
-
-def _parse_root(ctx: _Ctx) -> dict:
+    ctx = _Ctx(p, text)
     try:
-        obj = json.loads(ctx.text)
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecSchemaError(f"invalid JSON: {e.msg}", path=ctx.path,
                               line=e.lineno)
     if not isinstance(obj, dict):
         raise ctx.fail("top level must be a JSON object")
-    return obj
+    return obj, ctx
 
 
 def load_measure(path) -> Measure:
-    ctx = _read(path)
-    return _parse_measure(_parse_root(ctx), ctx)
+    return _parse_measure(*read_object(path))
 
 
 def load_bv(path) -> BVFunction1D:
-    ctx = _read(path)
-    return _parse_bv(_parse_root(ctx), ctx)
+    return _parse_bv(*read_object(path))
 
 
 def load_timefield(path) -> TimeField:
-    ctx = _read(path)
-    return _parse_timefield(_parse_root(ctx), ctx)
+    return _parse_timefield(*read_object(path))
 
 
 # ----------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_c10_stopped_scale_set_identity():
 def test_c11_decay_sandwich():
     t0 = time.monotonic()
     sign = TimeField.steady(Measure(1, atoms=(((0.0,), 2.0),)), [0.5], 0.5)
-    rep = decay_sweep(sign, h_background=1e-3)
+    rep = decay_sweep(sign, h=1e-3)
     assert rep.verdict == PERSISTS
     assert rep.deltas[2] == pytest.approx(1e-3)
     assert rep.q_values[2] == pytest.approx(1.1448, rel=0.03)
@@ -161,7 +161,7 @@ def test_c11_decay_sandwich():
     tent = BVFunction1D(breakpoints=(-1.0, 0.0, 1.0), slopes=(1.0, -1.0),
                         compact_support=True)
     rep2 = decay_sweep(TimeField.steady(derivative_measure(tent), [0.0], 1.0),
-                       h_background=1e-3)
+                       h=1e-3)
     assert rep2.verdict == DECAYS
     assert rep2.q_values[0] / rep2.q_values[3] == pytest.approx(4.0, rel=0.2)
     assert time.monotonic() - t0 < 60.0

@@ -98,7 +98,7 @@ class TestDecayQuantity:
         tf = TimeField.steady(unit_atom([0.0, 0.0], dimension=2),
                               [0.0, 0.0], 0.2)
         delta = 1e-2
-        q = decay_quantity(tf, delta, h_background=0.0025)
+        q = decay_quantity(tf, delta, h=0.0025)
         want = (1.0 + math.log(math.pi * 0.04 / delta)) / abs(math.log(delta))
         assert q == pytest.approx(want, rel=2e-2)
 

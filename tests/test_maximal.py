@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,9 +160,20 @@ class TestOscillation:
 # the run path of the 1D oscillation field against the sliding window
 
 
+def forced_field(f, rg, path):
+    """_oscillation_field_1d with every width on one kernel: a path width
+    of 0 takes the run kernel for every K >= 1, one above the node count
+    the window kernel; path None keeps the cost rule."""
+    if path is None:
+        return _oscillation_field_1d(f, rg)
+    width = 0 if path == "runs" else len(f.values) + 1
+    with mock.patch.object(maximal, "_RUN_PATH_WIDTH", width):
+        return _oscillation_field_1d(f, rg)
+
+
 def assert_paths_agree(f, rg):
-    runs = _oscillation_field_1d(f, rg, path="runs")
-    window = _oscillation_field_1d(f, rg, path="window")
+    runs = forced_field(f, rg, "runs")
+    window = forced_field(f, rg, "window")
     # both paths take the window means from one prefix sum, whose rounding
     # (eps * sum |v|) is all a field that is 0 in exact arithmetic shows
     floor = np.finfo(float).eps * np.sum(np.abs(f.values)) / f.grid.spacing
@@ -319,7 +331,7 @@ class TestOscillationPruning:
                                 h * np.asarray(multiples, float)])
         rg = RadiusGrid(np.unique(radii))
         for path in (None, "runs", "window"):
-            assert_same_bits(_oscillation_field_1d(f, rg, path=path),
+            assert_same_bits(forced_field(f, rg, path),
                              _oscillation_field_reference(f, rg, path=path))
 
     def test_one_pass_per_window_width_over_the_nonzero_span(self,
@@ -337,7 +349,7 @@ class TestOscillationPruning:
             return _run_deviations(prefix, runs, i_lo, K, means)
 
         monkeypatch.setattr(maximal, "_run_deviations", counted)
-        got = _oscillation_field_1d(f, rg, path="runs")
+        got = forced_field(f, rg, "runs")
         n = len(f.values)
         computed = [_node_window(r, 0.01) for r in rg.radii
                     if 2 * max(_node_window(r, 0.01),

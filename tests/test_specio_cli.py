@@ -603,6 +603,120 @@ class TestCliArtifacts:
         assert "must be an integer" in err
 
 
+# The config keys of each command, written out here rather than read from
+# the parser, and one valid value of each.
+_CONFIG_KEYS = {
+    "distcurve": ("input", "variant", "tau", "h", "radii", "lambda_decades",
+                  "threshold", "expect", "out"),
+    "sobolev": ("input", "h", "radii", "lambda_decades", "threshold",
+                "expect", "out"),
+    "decay": ("input", "h", "radii", "threshold", "expect", "out"),
+    "verify": ("out", "corpus_size"),
+}
+_SPEC = {"distcurve": "unit_atom.json", "sobolev": "tent.json",
+         "decay": "sign_field.json"}
+_VALUES = {"variant": "Mtau", "tau": 0.01, "h": 0.005, "radii": 8,
+           "lambda_decades": 1.5, "threshold": 0.1, "expect": "persists",
+           "corpus_size": 2}
+# the keyword each experiment receives for a config key or flag
+_KEYWORDS = {"radii": "radii_per_decade"}
+# the function main calls for each command, looked up in cli at call time
+_EXPERIMENT = {"distcurve": "distribution_experiment",
+               "sobolev": "sobolev_experiment", "decay": "decay_sweep",
+               "verify": "run_verify"}
+
+
+class _Reached(Exception):
+    """Raised by a stand-in experiment with the keywords it was given."""
+
+
+def _reroute(monkeypatch, command):
+    def reached(*args, **kwargs):
+        raise _Reached(kwargs)
+
+    monkeypatch.setattr(cli, _EXPERIMENT[command], reached)
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("sep", ["_", "-"])
+    @pytest.mark.parametrize("command", sorted(_CONFIG_KEYS))
+    def test_every_key_is_accepted(self, tmp_path, monkeypatch, command,
+                                   sep):
+        values = {**_VALUES, "out": str(tmp_path / "out")}
+        if command in _SPEC:
+            values["input"] = str(SPECS / _SPEC[command])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key.replace("_", sep): values[key]
+                                   for key in _CONFIG_KEYS[command]}))
+        _reroute(monkeypatch, command)
+        with pytest.raises(_Reached) as reached:
+            main([command, "--config", str(cfg)])
+        harness = {"input", "expect", "out"}
+        assert reached.value.args[0] == {
+            _KEYWORDS.get(key, key): values[key]
+            for key in _CONFIG_KEYS[command] if key not in harness}
+
+    @pytest.mark.parametrize("command", sorted(_CONFIG_KEYS))
+    def test_other_keys_are_not_recognized(self, tmp_path, capsys, command):
+        every = set().union(*_CONFIG_KEYS.values())
+        others = sorted(every - set(_CONFIG_KEYS[command]))
+        others += ["config", "radii_per_decade", "h_background"]
+        cfg = tmp_path / "cfg.json"
+        for key in others:
+            cfg.write_text(json.dumps({key: 1}, indent=2) + "\n")
+            assert main([command, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {cfg}:2: config key '{key}' is not recognized for "
+                f"{command}\n")
+
+    @pytest.mark.parametrize("key,value,flag,rule", [
+        ("h", -1, "0.01", "positive and finite, got -1.0"),
+        ("radii", 0, "8", "at least 1, got 0"),
+    ])
+    @pytest.mark.parametrize("overridden", [False, True])
+    def test_range_is_checked_also_under_a_flag(self, tmp_path, capsys,
+                                                monkeypatch, key, value,
+                                                flag, rule, overridden):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": 0.1, key: value},
+                                  indent=2) + "\n")
+        _reroute(monkeypatch, "distcurve")
+        argv = ["distcurve", "--input", str(SPECS / "unit_atom.json"),
+                "--config", str(cfg)]
+        if overridden:
+            argv += [f"--{key}", flag]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {cfg}:3: config key '{key}': must be {rule}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--h", "-1"), "argument --h: must be positive and finite, "
+                        "got -1.0"),
+        (("--tau", "inf"), "argument --tau: must be positive and finite, "
+                           "got inf"),
+        (("--radii", "0"), "argument --radii: must be at least 1, got 0"),
+        (("--lambda-decades", "0.5"),
+         "argument --lambda-decades: must be finite and at least 1, "
+         "got 0.5"),
+        (("--h", "abc"), "argument --h: invalid float value: 'abc'"),
+        (("--radii", "2.5"), "argument --radii: invalid int value: '2.5'"),
+    ])
+    def test_flag_types_check_the_range(self, capsys, argv, message):
+        assert run_cli("distcurve", "--input", str(SPECS / "unit_atom.json"),
+                       *argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["distcurve", "sobolev", "decay"])
+    def test_main_calls_the_experiment_bound_in_cli(self, monkeypatch,
+                                                    command):
+        # perfbench rebinds these names in cli to capture the results
+        _reroute(monkeypatch, command)
+        with pytest.raises(_Reached) as reached:
+            run_cli(command, "--input", str(SPECS / _SPEC[command]),
+                    "--h", "0.005", "--radii", "8")
+        assert reached.value.args[0] == {"h": 0.005, "radii_per_decade": 8}
+
+
 class TestParserReuse:
     RUNS = {
         "distcurve": ("distcurve", "--input", str(SPECS / "unit_atom.json"),
