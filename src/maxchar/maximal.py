@@ -52,7 +52,11 @@ runs.  Each window width K is computed once, at the smallest radius with
 that K: a larger radius with the same K has the same windows over fewer
 admitted centres and divides by more.  Only centres whose window meets the
 span from the first to the last nonzero sample are computed; a window in a
-zero pad has mean and deviation exactly 0.  So the field costs
+zero pad has mean and deviation exactly 0.  A width K costs one binary
+search per run that its windows meet plus a fixed number of in-place
+passes over slices: the means are the difference of two prefix-sum
+slices, each run's window bounds are one slice of the window starts,
+clamped in place, and no other index array is built.  So the field costs
 O(m * runs * log n) per distinct K, m the count of those centres, with the
 bits of the loop over every radius and every centre.
 """
@@ -469,15 +473,21 @@ def _monotone_runs(vals: np.ndarray) -> list:
 
 def _window_deviations(vals, i_lo, K, means):
     """Mean |v - m| over each window [i-K, i+K], i = i_lo, i_lo+1, ...,
-    from explicit sliding windows: O(W) per centre."""
+    from explicit sliding windows: O(W) per centre.  The blocks share one
+    buffer; sum and division are those of np.mean."""
     W = 2 * K + 1
     windows = sliding_window_view(vals, W)
     dev = np.empty(len(means))
     block = max(1, int(4_000_000 // W))
+    buf = np.empty((min(block, len(means)), W))
     for b in range(0, len(means), block):
         e = min(b + block, len(means))
-        segs = windows[i_lo - K + b:i_lo - K + e]
-        dev[b:e] = np.mean(np.abs(segs - means[b:e, None]), axis=1)
+        seg = buf[:e - b]
+        np.subtract(windows[i_lo - K + b:i_lo - K + e], means[b:e, None],
+                    out=seg)
+        np.abs(seg, out=seg)
+        np.add.reduce(seg, axis=1, out=dev[b:e])
+    dev /= W
     return dev
 
 
@@ -487,25 +497,39 @@ def _run_deviations(prefix, runs, i_lo, K, means):
     one contiguous block, found by one searchsorted and summed by prefix
     sums, so a centre costs O(log n) per run its window meets.  Rounding
     can leave values slightly below 0; callers clamp."""
+    W = 2 * K + 1
     excess = np.zeros(len(means))
     i_hi = i_lo + len(means) - 1
+    starts = np.arange(i_lo - K, i_hi - K + 1)  # the window starts
     for s, e, key, rising in runs:
         a = max(s - K, i_lo) - i_lo
         b = min(e - 1 + K, i_hi) - i_lo + 1
         if a >= b:
             continue  # no window meets this run
-        centers = np.arange(i_lo + a, i_lo + b)
+        ws = starts[a:b]
         m = means[a:b]
-        lo = np.maximum(centers - K, s)
-        hi = np.minimum(centers + K + 1, e)
+        # the window's part [lo, hi) of the run; lo < hi, as it meets it
+        lo = np.maximum(ws, s)
+        hi = ws + W
+        np.minimum(hi, e, out=hi)
         if rising:
-            first = s + np.searchsorted(key, m, side="right")
-            lo = np.clip(first, lo, hi)
+            first = np.searchsorted(key, m, side="right")
+            first += s
+            np.maximum(first, lo, out=lo)
+            np.minimum(lo, hi, out=lo)
         else:
-            stop = s + np.searchsorted(key, -m, side="left")
-            hi = np.clip(stop, lo, hi)
-        excess[a:b] += prefix[hi] - prefix[lo] - m * (hi - lo)
-    return 2.0 * excess / (2 * K + 1)
+            stop = np.searchsorted(key, -m, side="left")
+            stop += s
+            np.minimum(stop, hi, out=hi)
+            np.maximum(hi, lo, out=hi)
+        t = prefix[hi]
+        t -= prefix[lo]
+        hi -= lo
+        t -= m * hi
+        excess[a:b] += t
+    excess *= 2.0
+    excess /= W
+    return excess
 
 
 # a radius takes the run path when its window is wider than this many
@@ -541,14 +565,16 @@ def _oscillation_field_1d(f: GridFunction, rg: RadiusGrid):
         i_lo = max(i_lo, int(nonzero[0]) - K)
         i_hi = min(i_hi, int(nonzero[-1]) + K)
         W = 2 * K + 1
-        centers = np.arange(i_lo, i_hi + 1)
-        means = (prefix[centers + K + 1] - prefix[centers - K]) / W
+        means = (prefix[i_lo + K + 1:i_hi + K + 2]
+                 - prefix[i_lo - K:i_hi - K + 1])
+        means /= W
         if W > _RUN_PATH_WIDTH * len(runs):
             dev = _run_deviations(prefix, runs, i_lo, K, means)
         else:
             dev = _window_deviations(vals, i_lo, K, means)
-        out = slice(i_lo, i_hi + 1)
-        np.maximum(best[out], dev / r, out=best[out])
+        dev /= r
+        out = best[i_lo:i_hi + 1]
+        np.maximum(out, dev, out=out)
     return best, ~admitted
 
 

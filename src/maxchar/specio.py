@@ -13,6 +13,7 @@ key=value verdict blocks; identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,12 @@ def fmt(x) -> str:
 
 
 def _line_of(text: str, key: str) -> int:
-    idx = text.find(f'"{key}"')
-    if idx < 0:
+    """The line of the first object key "key" (a string followed by a
+    colon), 1 if there is none."""
+    found = re.search(re.escape(f'"{key}"') + r"\s*:", text)
+    if found is None:
         return 1
-    return text.count("\n", 0, idx) + 1
+    return text.count("\n", 0, found.start()) + 1
 
 
 class _Ctx:
@@ -166,7 +169,7 @@ def read_object(path):
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SpecSchemaError(str(e), path=str(path))
     ctx = _Ctx(p, text)
     try:
@@ -174,6 +177,9 @@ def read_object(path):
     except json.JSONDecodeError as e:
         raise SpecSchemaError(f"invalid JSON: {e.msg}", path=ctx.path,
                               line=e.lineno)
+    except (ValueError, RecursionError) as e:
+        # an integer past Python's digit limit, or nesting too deep
+        raise SpecSchemaError(f"invalid JSON: {e}", path=ctx.path)
     if not isinstance(obj, dict):
         raise ctx.fail("top level must be a JSON object")
     return obj, ctx

@@ -4,14 +4,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from maxchar import corpus, decay, maximal
 from maxchar.errors import BudgetError, WindowTooSmallError
 from maxchar.geometry import UNIT_BALL_VOLUME, UniformGrid
 from maxchar.maximal import (_RUN_PATH_WIDTH, RadiusGrid, _monotone_runs,
                              _node_window, _oscillation_field_1d,
-                             _run_deviations, _span_margin,
-                             _window_deviations, maximal_field,
+                             _run_deviations, _span_margin, maximal_field,
                              maximal_point, maximal_values_at,
                              oscillation_field, oscillation_point)
 from maxchar.measure import GridFunction, Measure, unit_atom
@@ -255,9 +255,54 @@ class TestOscillationRunPath:
 # the pruned oscillation field against the full loop
 
 
+# the two kernels as first written, kept verbatim as the reference bits:
+# the field's kernels may change how they compute, never what
+
+
+def _window_deviations_reference(vals, i_lo, K, means):
+    """Mean |v - m| over each window [i-K, i+K], i = i_lo, i_lo+1, ...,
+    from explicit sliding windows: O(W) per centre."""
+    W = 2 * K + 1
+    windows = sliding_window_view(vals, W)
+    dev = np.empty(len(means))
+    block = max(1, int(4_000_000 // W))
+    for b in range(0, len(means), block):
+        e = min(b + block, len(means))
+        segs = windows[i_lo - K + b:i_lo - K + e]
+        dev[b:e] = np.mean(np.abs(segs - means[b:e, None]), axis=1)
+    return dev
+
+
+def _run_deviations_reference(prefix, runs, i_lo, K, means):
+    """Mean |v - m| over the same windows as _window_deviations, from
+    sum |v - m| = 2 sum_{v > m} (v - m): inside a monotone run {v > m} is
+    one contiguous block, found by one searchsorted and summed by prefix
+    sums, so a centre costs O(log n) per run its window meets.  Rounding
+    can leave values slightly below 0; callers clamp."""
+    excess = np.zeros(len(means))
+    i_hi = i_lo + len(means) - 1
+    for s, e, key, rising in runs:
+        a = max(s - K, i_lo) - i_lo
+        b = min(e - 1 + K, i_hi) - i_lo + 1
+        if a >= b:
+            continue  # no window meets this run
+        centers = np.arange(i_lo + a, i_lo + b)
+        m = means[a:b]
+        lo = np.maximum(centers - K, s)
+        hi = np.minimum(centers + K + 1, e)
+        if rising:
+            first = s + np.searchsorted(key, m, side="right")
+            lo = np.clip(first, lo, hi)
+        else:
+            stop = s + np.searchsorted(key, -m, side="left")
+            hi = np.clip(stop, lo, hi)
+        excess[a:b] += prefix[hi] - prefix[lo] - m * (hi - lo)
+    return 2.0 * excess / (2 * K + 1)
+
+
 def _oscillation_field_reference(f, rg, path=None):
-    """_oscillation_field_1d without its pruning: every radius, every
-    admitted centre, the zero pads included."""
+    """_oscillation_field_1d without its pruning, on the frozen kernels:
+    every radius, every admitted centre, the zero pads included."""
     vals = f.values
     n = len(vals)
     h = f.grid.spacing
@@ -282,9 +327,9 @@ def _oscillation_field_reference(f, rg, path=None):
         else:
             use_runs = path == "runs"
         if use_runs:
-            dev = _run_deviations(prefix, runs, i_lo, K, means)
+            dev = _run_deviations_reference(prefix, runs, i_lo, K, means)
         else:
-            dev = _window_deviations(vals, i_lo, K, means)
+            dev = _window_deviations_reference(vals, i_lo, K, means)
         out = slice(i_lo, i_hi + 1)
         np.maximum(best[out], dev / r, out=best[out])
     return best, ~admitted

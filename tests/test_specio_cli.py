@@ -86,6 +86,14 @@ class TestLoaders:
         assert "invalid JSON" in str(exc.value)
         assert ":4:" in str(exc.value)
 
+    def test_key_line_skips_equal_values(self, tmp_path):
+        # the string "dimension" on line 2 is a value, not the key
+        p = tmp_path / "d3.json"
+        p.write_text('{\n  "note": "dimension",\n  "dimension": 3\n}\n')
+        with pytest.raises(SpecSchemaError) as exc:
+            load_measure(p)
+        assert str(exc.value).startswith(f"{p}:3: dimension must be 1 or 2")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecSchemaError):
             load_measure(tmp_path / "absent.json")
@@ -398,6 +406,37 @@ class TestCliExitCodes:
         assert proc.returncode == 1
         assert proc.stderr == (f"error: {p}:1: invalid measure: "
                                "total variation must be finite\n")
+
+    @pytest.mark.parametrize("content,message", [
+        # json.loads raises a plain ValueError past Python's digit limit
+        (b'{"dimension": ' + b"1" * 5000 + b"}",
+         "invalid JSON: Exceeds the limit"),
+        (b"\xff\xfe{}", ""),  # not UTF-8
+        (b'{"dimension": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+         "invalid JSON: maximum recursion depth exceeded"),
+    ], ids=["long-integer", "not-utf8", "deep-nesting"])
+    @pytest.mark.parametrize("flag", ["--input", "--config"])
+    def test_undecodable_file_fails_with_one_line(self, tmp_path, capsys,
+                                                  content, message, flag):
+        p = tmp_path / "undecodable.json"
+        p.write_bytes(content)
+        argv = ["distcurve", flag, str(p)]
+        if flag == "--config":
+            argv += ["--input", str(SPECS / "unit_atom.json")]
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {p}: {message}")
+        assert err.count("\n") == 1
+
+    def test_config_key_line_skips_equal_values(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{\n  "expect": "h",\n  "h": -1\n}')
+        assert run_cli("sobolev", "--input", str(SPECS / "tent.json"),
+                       "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: config key 'h': must be positive and finite, "
+            "got -1.0\n")
 
     def test_broken_spec_reports_line(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
