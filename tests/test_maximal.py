@@ -718,13 +718,100 @@ class TestPrunedSweep:
         rg = RadiusGrid(np.array([0.06, 0.2, 2.0]))
         rows = self.count_disc_rows(monkeypatch)
         for variant in ("M", "Mbar"):
-            rows.clear()
-            got, flags = maximal_values_at(mu, nodes, rg, variant)
-            assert rows == [3, 3], variant  # r = 0.06 and r = 2
+            # one radius per query, so each call shows one radius's rows
+            with mock.patch.object(maximal, "_SWEEP_BATCH", 1):
+                rows.clear()
+                got, flags = maximal_values_at(mu, nodes, rg, variant)
+                assert rows == [3, 3], variant  # r = 0.06 and r = 2
             want = unpruned_values_at(mu, nodes, rg, variant)
             assert np.array_equal(got, want[0])
             assert np.array_equal(flags, want[1])
             assert got == pytest.approx(2001.0 / (np.pi * 4.0), rel=1e-12)
+            batched, batched_flags = maximal_values_at(mu, nodes, rg, variant)
+            assert np.array_equal(batched, got)
+            assert np.array_equal(batched_flags, flags)
+
+    def test_small_tails_share_a_query(self, monkeypatch):
+        # the square-atom shape of test_box_bound_queries_fewer_disc_rows:
+        # past the first radius few nodes stay live, and their pairs go to
+        # the disc kernel together instead of one call per radius
+        grid = UniformGrid((0.05, 0.05), 0.1, (10, 10))
+        mu = Measure(2, density=(grid, np.ones((10, 10)))) \
+            + unit_atom((0.3, 0.65), 2)
+        nodes = UniformGrid.cover_cells([-0.5, -0.5], [1.5, 1.5],
+                                        0.05).points()
+        rg = RadiusGrid.geometric(0.05, 2.5, 32)
+        rows = self.count_disc_rows(monkeypatch)
+        for variant in ("M", "Mbar"):
+            with mock.patch.object(maximal, "_SWEEP_BATCH", 1):
+                rows.clear()
+                alone = maximal_values_at(mu, nodes, rg, variant)
+            # one call for the atom's event radii, then one per live radius
+            live_radii = len(rows) - 1
+            rows.clear()
+            got = maximal_values_at(mu, nodes, rg, variant)
+            assert len(rows) - 1 < live_radii, variant
+            assert np.array_equal(got[0], alone[0])
+            assert np.array_equal(got[1], alone[1])
+
+    @pytest.mark.parametrize("batch", [1, 7, maximal._SWEEP_BATCH, 1 << 20])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(mixed_measures(), st.data())
+    def test_batch_size_keeps_the_bits(self, batch, mu, data):
+        d = mu.dimension
+        rg = RadiusGrid.geometric(
+            data.draw(st.floats(min_value=0.005, max_value=0.2)),
+            data.draw(st.floats(min_value=1.0, max_value=6.0)),
+            data.draw(st.integers(min_value=4, max_value=24)))
+        tau = float(rg.radii[len(rg.radii) // 2])
+        free = data.draw(st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * d),
+                                  min_size=1, max_size=40))
+        points = np.vstack([np.asarray(free, dtype=float).reshape(-1, d),
+                            touching_points(mu, rg.radii[-1:])])
+        for variant in ("M", "Mbar", "Mtau"):
+            with mock.patch.object(maximal, "_SWEEP_BATCH", batch):
+                got = maximal_values_at(mu, points, rg, variant, tau=tau)
+            want = unpruned_values_at(mu, points, rg, variant, tau=tau)
+            assert np.array_equal(got[0], want[0]), variant
+            assert np.array_equal(got[1], want[1]), variant
+
+    @pytest.mark.parametrize("batch", [1, 7, maximal._SWEEP_BATCH, 1 << 20])
+    def test_batches_flushed_at_the_break(self, batch):
+        # atoms, a signed density and, in 2D, a signed curve, swept far
+        # past the support: M and Mbar stop before the last radius with
+        # pairs still queued when the batch is large
+        values = np.array([0.7, -1.3, 2.0, 0.0, 0.25, 2.0, -1.3])
+        mu_1d = Measure(1, atoms=(((0.3,), 0.8), ((0.71,), -0.5)),
+                        density=(UniformGrid((-0.2,), 0.1, (7,)), values))
+        mu_2d = Measure(2, atoms=(((0.3, 0.2), 0.8), ((-0.1, 0.4), -0.5)),
+                        density=(UniformGrid((-0.2, -0.3), 0.1, (6, 7)),
+                                 np.tile(values, (6, 1))),
+                        curves=((np.array([[-0.5, 0.0], [0.2, 0.9],
+                                           [0.8, 0.1]]), -0.6),))
+        rg = RadiusGrid.geometric(0.01, 50.0, 16)
+        swept = []
+
+        class Counted(np.ndarray):  # records the radii the sweep visits
+            def __iter__(self):
+                for r in self.view(np.ndarray):
+                    swept.append(r)
+                    yield r
+
+        counted = RadiusGrid(rg.radii)
+        object.__setattr__(counted, "radii", rg.radii.view(Counted))
+        rng = np.random.default_rng(19)
+        for mu in (mu_1d, mu_2d):
+            points = rng.uniform(-1.5, 1.5, (40, mu.dimension))
+            for variant in ("M", "Mbar", "Mtau"):
+                swept.clear()
+                with mock.patch.object(maximal, "_SWEEP_BATCH", batch):
+                    got = maximal_values_at(mu, points, counted, variant,
+                                            tau=1.0)
+                if variant != "Mtau":
+                    assert len(swept) < rg.count, variant
+                want = unpruned_values_at(mu, points, rg, variant, tau=1.0)
+                assert np.array_equal(got[0], want[0]), variant
+                assert np.array_equal(got[1], want[1]), variant
 
 
 @st.composite
