@@ -21,6 +21,8 @@ CASES = (
      ("--variant", "Mbar")),
     ("square-M", "distcurve", "specs/square_2d.json", "persists",
      ("--h", "0.025")),
+    ("segment-M", "distcurve", "specs/segment_2d.json", "persists",
+     ("--h", "0.05")),
     ("tent-A", "sobolev", "specs/tent.json", "W11", ()),
     ("step-A", "sobolev", "specs/step.json", "bv-with-jumps", ()),
     ("sign-decay", "decay", "specs/sign_field.json", "persists", ()),

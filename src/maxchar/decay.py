@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ResolutionError
-from .geometry import UniformGrid
+from .geometry import UniformGrid, as_point
 from .level_sets import DECAYS, INCONCLUSIVE, PERSISTS
 from .maximal import RadiusGrid, maximal_values_at
 from .measure import Measure
@@ -54,12 +54,11 @@ class TimeField:
         if len(dims) != 1:
             raise ValueError("slices must share a dimension")
         d = dims.pop()
-        center = tuple(float(c) for c in np.asarray(self.ball_center,
-                                                    dtype=float).reshape(-1))
-        if len(center) != d:
-            raise ValueError("ball center dimension mismatch")
-        if not (self.ball_radius > 0):
-            raise ValueError("ball radius must be positive")
+        center = as_point(self.ball_center, d)
+        if not (math.isfinite(self.ball_radius) and self.ball_radius > 0):
+            raise ValueError("ball radius must be finite and positive")
+        if not math.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
         if not (self.horizon > 0 and t[0] > 0 and t[-1] < self.horizon):
             raise ValueError("times must lie strictly inside (0, horizon)")
         object.__setattr__(self, "times", tuple(t))
@@ -104,33 +103,6 @@ class TimeField:
         return float(np.dot(w, masses))
 
 
-class SliceField(NamedTuple):
-    """Maximal-field samples of one slice: quadrature nodes inside the ball
-    with their cell weights."""
-    values: np.ndarray
-    weights: np.ndarray
-
-    def clipped_integral(self, delta: float) -> float:
-        return float(np.dot(self.weights,
-                            np.minimum(1.0 / delta, self.values)))
-
-
-def _singular_sites(mu: Measure, delta: float):
-    """Singular-support sample points with the distance at which the
-    delta-clipping saturates: pi t^2 = mass*delta for a point mass,
-    t = rho*delta/pi for a line density."""
-    sites = [(np.asarray(p, dtype=float),
-              math.sqrt(abs(w) * delta / math.pi)) for p, w in mu.atoms]
-    for poly, rho in mu.curves:
-        t_clip = abs(rho) * delta / math.pi
-        pts = np.asarray(poly, dtype=float)
-        for aseg, bseg in zip(pts[:-1], pts[1:]):
-            n = max(2, int(np.linalg.norm(bseg - aseg) / 0.05) + 1)
-            for s in np.linspace(0.0, 1.0, n):
-                sites.append((aseg + s * (bseg - aseg), t_clip))
-    return sites
-
-
 def _graded_edges_1d(a: float, b: float, mu: Measure, delta: float,
                      h_bg: float) -> np.ndarray:
     """Cell edges on [a, b]: uniform background plus geometric ladders that
@@ -161,55 +133,54 @@ def _graded_edges_1d(a: float, b: float, mu: Measure, delta: float,
     return out
 
 
-def _radius_grid_for(mu: Measure, a: float, b: float, delta: float,
-                     h_bg: float, per_decade: int) -> RadiusGrid:
+def _radius_grid_for(mu: Measure, a: float, b: float, r_min: float,
+                     per_decade: int) -> RadiusGrid:
     sb = mu.support_box()
     lo, hi = a, b
     if sb is not None:
         lo = min(lo, *sb.lo)
         hi = max(hi, *sb.hi)
     r_max = 1.05 * max(hi - lo, b - a)
-    r_min = h_bg
-    for _, w in mu.atoms:
-        r_min = min(r_min, 0.9 * delta * abs(w) / _CLIP_MARGIN)
-    for _, rho in mu.curves:
-        r_min = min(r_min, 0.9 * abs(rho) * delta / math.pi)
-    r_min = max(r_min, 1e-14 * r_max)
-    return RadiusGrid.geometric(r_min, r_max, per_decade=per_decade)
+    return RadiusGrid.geometric(max(r_min, 1e-14 * r_max), r_max,
+                                per_decade=per_decade)
 
 
-def _slice_field_1d(mu: Measure, center: float, radius: float, delta: float,
-                    h_bg: float, per_decade: int) -> SliceField:
-    a, b = center - radius, center + radius
-    edges = _graded_edges_1d(a, b, mu, delta, h_bg)
-    nodes = 0.5 * (edges[:-1] + edges[1:])
-    weights = np.diff(edges)
-    rg = _radius_grid_for(mu, a, b, delta, h_bg, per_decade)
-    values, _ = maximal_values_at(mu, nodes.reshape(-1, 1), rg, "M")
-    return SliceField(values, weights)
-
-
-def _slice_field_2d(mu: Measure, center, radius: float, delta: float,
-                    h_bg: float, per_decade: int) -> SliceField:
-    cx, cy = center
-    for p, t_clip in _singular_sites(mu, delta):
-        if np.hypot(p[0] - cx, p[1] - cy) > radius + _REFINE_SPAN_CELLS * h_bg:
-            continue
-        if h_bg > 0.5 * t_clip:
+def _slice_field(mu: Measure, center, radius: float, delta: float,
+                 h_bg: float, per_decade: int):
+    """(values, weights): M of one slice at quadrature nodes inside the
+    ball and the nodes' cell measures, on graded 1D cells or a uniform 2D
+    mesh.  The atoms and curve segments within _REFINE_SPAN_CELLS cells of
+    the ball (exact distances) set the smallest radius, and in 2D the guard
+    on the distance where the delta-clipping saturates: pi t^2 =
+    mass*delta for an atom, t = rho*delta/pi for a line density."""
+    atoms, rhos = mu.singular_parts_near(
+        center, radius + _REFINE_SPAN_CELLS * h_bg)
+    a, b = center[0] - radius, center[0] + radius
+    if mu.dimension == 1:
+        edges = _graded_edges_1d(a, b, mu, delta, h_bg)
+        nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+        weights = np.diff(edges)
+    else:
+        t_clip = np.concatenate([np.sqrt(atoms * delta / math.pi),
+                                 rhos * delta / math.pi])
+        unresolved = h_bg > 0.5 * t_clip
+        if np.any(unresolved):
             raise ResolutionError(
                 f"mesh width {h_bg:g} cannot resolve the clipping radius "
-                f"{t_clip:g} at delta={delta:g}; refine the mesh or use a "
-                "larger delta")
-    grid = UniformGrid.cover_cells((cx - radius, cy - radius),
-                                   (cx + radius, cy + radius), h_bg)
-    pts = grid.points()
-    inside = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2 < radius ** 2
-    nodes = pts[inside]
-    rg = _radius_grid_for(mu, cx - radius, cx + radius, delta, h_bg,
-                          per_decade)
+                f"{t_clip[np.argmax(unresolved)]:g} at delta={delta:g}; "
+                "refine the mesh or use a larger delta")
+        cx, cy = center
+        grid = UniformGrid.cover_cells((a, cy - radius), (b, cy + radius),
+                                       h_bg)
+        pts = grid.points()
+        inside = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2 < radius ** 2
+        nodes = pts[inside]
+        weights = np.full(len(nodes), h_bg * h_bg)
+    r_min = min([h_bg, *(0.9 * delta * atoms / _CLIP_MARGIN),
+                 *(0.9 * rhos * delta / math.pi)])
+    rg = _radius_grid_for(mu, a, b, r_min, per_decade)
     values, _ = maximal_values_at(mu, nodes, rg, "M")
-    weights = np.full(len(nodes), h_bg * h_bg)
-    return SliceField(values, weights)
+    return values, weights
 
 
 def _prepare_slices(tf: TimeField, delta: float, h_bg: Optional[float],
@@ -217,17 +188,10 @@ def _prepare_slices(tf: TimeField, delta: float, h_bg: Optional[float],
     d = tf.dimension
     if h_bg is None:
         h_bg = 2.0 * tf.ball_radius / (_BACKGROUND_CELLS if d == 1 else 128)
-
-    def build(mu: Measure) -> Optional[SliceField]:
-        if mu.total_variation() == 0:
-            return None
-        if d == 1:
-            return _slice_field_1d(mu, tf.ball_center[0], tf.ball_radius,
-                                   delta, h_bg, per_decade)
-        return _slice_field_2d(mu, tf.ball_center, tf.ball_radius, delta,
-                               h_bg, per_decade)
-
-    return [build(mu) for mu in tf.slices]
+    no_nodes = (np.empty(0), np.empty(0))  # for a slice of no mass
+    return [_slice_field(mu, tf.ball_center, tf.ball_radius, delta, h_bg,
+                         per_decade) if mu.total_variation() else no_nodes
+            for mu in tf.slices]
 
 
 def _validate_delta(delta: float):
@@ -236,8 +200,9 @@ def _validate_delta(delta: float):
 
 
 def _q_value(w: np.ndarray, fields, delta: float) -> float:
-    total = math.fsum(wi * f.clipped_integral(delta)
-                      for wi, f in zip(w, fields) if f is not None)
+    total = math.fsum(
+        wi * float(np.dot(weights, np.minimum(1.0 / delta, values)))
+        for wi, (values, weights) in zip(w, fields))
     return total / abs(math.log(delta))
 
 
@@ -324,10 +289,9 @@ def level_integral_slice(mu: Measure, ball_center, ball_radius: float,
     h_bg = 2.0 * ball_radius / _BACKGROUND_CELLS
     restricted = mu.absolute().restricted_to_ball(ball_center,
                                                   ball_radius - 2.0 * h_bg)
-    c = float(np.asarray(ball_center).reshape(-1)[0])
-    field = _slice_field_1d(restricted, c, ball_radius, delta, h_bg,
-                            _PER_DECADE)
+    values, weights = _slice_field(restricted, as_point(ball_center, 1),
+                                   ball_radius, delta, h_bg, _PER_DECADE)
     lam_lo = delta ** -0.5
     lam_hi = 1.0 / delta
-    gain = np.maximum(0.0, np.minimum(field.values, lam_hi) - lam_lo)
-    return float(np.dot(field.weights, gain))
+    gain = np.maximum(0.0, np.minimum(values, lam_hi) - lam_lo)
+    return float(np.dot(weights, gain))

@@ -25,7 +25,8 @@ def as_point(x, dimension: int) -> tuple[float, ...]:
     else:
         pt = tuple(float(c) for c in x)
     if len(pt) != dimension:
-        raise ValueError(f"expected {dimension} coordinates, got {len(pt)}")
+        raise ValueError(f"dimension mismatch: expected {dimension} "
+                         f"coordinates, got {len(pt)}")
     if not all(math.isfinite(c) for c in pt):
         raise ValueError(f"non-finite coordinates: {pt}")
     return pt
@@ -131,11 +132,14 @@ class UniformGrid:
         return cls(origin, spacing, extents)
 
 
-def segment_ball_chords_at(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
-                           radii: np.ndarray) -> np.ndarray:
-    """Total chord length of one segment inside per-center balls.
+def segment_ball_clip(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
+                      radii: np.ndarray):
+    """Where one segment runs inside per-center balls: (t0, t1), two (n,)
+    arrays, so that a + t (b - a) for t in [t0, t1] is the part inside.
+    Both lie in [0, 1], and t0 = t1 where the segment misses the ball
+    (always, for a segment of length 0).
 
-    centers is (n, d), radii is (n,), the segment is fixed.  Returns (n,).
+    centers is (n, d), radii is (n,), the segment is fixed.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -143,22 +147,30 @@ def segment_ball_chords_at(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
     radii = np.asarray(radii, dtype=float)
     u = b - a
     seg2 = float(u @ u)
-    if seg2 == 0.0:
-        return np.zeros(len(centers))
     w = a - centers  # (n, d)
     # einsum, not w @ u: BLAS rounds a row differently depending on which
     # other rows it receives, and a chord must not depend on them
     bq = 2.0 * np.einsum("ij,j->i", w, u)
     cq = np.einsum("ij,ij->i", w, w) - radii**2
     disc = bq * bq - 4.0 * seg2 * cq
-    out = np.zeros(len(centers))
+    t0, t1 = np.zeros(len(centers)), np.zeros(len(centers))
     ok = disc > 0
     if np.any(ok):
         sq = np.sqrt(disc[ok])
-        t0 = np.clip((-bq[ok] - sq) / (2.0 * seg2), 0.0, 1.0)
-        t1 = np.clip((-bq[ok] + sq) / (2.0 * seg2), 0.0, 1.0)
-        out[ok] = (t1 - t0) * math.sqrt(seg2)
-    return out
+        t0[ok] = np.clip((-bq[ok] - sq) / (2.0 * seg2), 0.0, 1.0)
+        t1[ok] = np.clip((-bq[ok] + sq) / (2.0 * seg2), 0.0, 1.0)
+    return t0, t1
+
+
+def segment_ball_chords_at(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
+                           radii: np.ndarray) -> np.ndarray:
+    """Total chord length of one segment inside per-center balls.
+
+    centers is (n, d), radii is (n,), the segment is fixed.  Returns (n,).
+    """
+    t0, t1 = segment_ball_clip(a, b, centers, radii)
+    u = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    return (t1 - t0) * math.sqrt(float(u @ u))
 
 
 def point_segment_distance(pts: np.ndarray, a: np.ndarray,

@@ -199,8 +199,6 @@ class DistributionCurve:
     lambdas: tuple
     volumes: tuple
     flags: tuple
-    window: Box
-    variant: str
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -239,8 +237,7 @@ def distribution_curve(field: MaximalField,
     lam = np.asarray(lg.lambdas)
     volumes, flags = _superlevel_volumes(field, lam)
     return DistributionCurve(lambdas=tuple(lam), volumes=tuple(volumes),
-                             flags=tuple(flags), window=field.grid.cell_box(),
-                             variant=field.variant)
+                             flags=tuple(flags))
 
 
 # ----------------------------------------------------------------------

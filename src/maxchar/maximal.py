@@ -82,8 +82,6 @@ from .errors import BudgetError, WindowTooSmallError
 from .geometry import UNIT_BALL_VOLUME, UniformGrid
 from .measure import _EVENT_BLOCK, GridFunction, Measure
 
-VARIANTS = ("M", "Mbar", "Mtau", "A")
-
 # the most radii a geometric grid may hold: about 32 times the largest grid
 # of the tests, specs, verify and benchmark workloads (501 radii)
 _RADIUS_BUDGET = 1 << 14
@@ -144,14 +142,10 @@ class MaximalField:
 
     grid: UniformGrid
     values: np.ndarray
-    variant: str
     radius_grid: RadiusGrid
-    tau: Optional[float] = None
     flags: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         values = np.asarray(self.values, dtype=float).reshape(self.grid.extents)
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite and nonnegative")
@@ -223,8 +217,7 @@ def _box_bound(mu: Measure, points: np.ndarray):
     c0, c1 = mu._c0, mu._c1
     ux, ix = np.unique(points[:, 0], return_inverse=True)
     uy, iy = np.unique(points[:, 1], return_inverse=True)
-    curves = sum(abs(rho) * float(np.sum(lens))
-                 for _, rho, lens in mu._curve_data)
+    curves = sum(abs(rho) * length for rho, length in mu._curve_totals())
 
     def bound(r, rows):
         R = r * (1.0 + _PRUNE_SLACK)
@@ -418,8 +411,7 @@ def maximal_field(mu: Measure, eval_grid: UniformGrid, rg: RadiusGrid,
             f"{eval_grid.cell_box()}")
     values, flags = maximal_values_at(mu, eval_grid.points(), rg,
                                       variant=variant, tau=tau)
-    return MaximalField(eval_grid, values.reshape(eval_grid.extents),
-                        variant, rg, tau=tau,
+    return MaximalField(eval_grid, values.reshape(eval_grid.extents), rg,
                         flags=flags.reshape(eval_grid.extents))
 
 
@@ -617,5 +609,5 @@ def oscillation_field(f: GridFunction, rg: RadiusGrid) -> MaximalField:
     window meets the nonzero samples (see the module docstring)."""
     _require_1d(f)
     best, flags = _oscillation_field_1d(f, rg)
-    return MaximalField(f.grid, best.reshape(f.grid.extents), "A", rg,
+    return MaximalField(f.grid, best.reshape(f.grid.extents), rg,
                         flags=flags.reshape(f.grid.extents))

@@ -12,14 +12,15 @@ norm in 2D): the atom is in the ball when D < r (D <= r if closed), never
 by rounded positions x +- r.  Density cells contribute by exact interval
 clipping in 1D and by the center-in-ball rule in 2D; curve segments
 contribute their exact chord length inside the ball times the linear
-density.
+density.  Curve queries walk one table of the segments of nonzero
+density, so a curve of density 0 carries nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .geometry import (
     as_point,
     point_segment_distance,
     segment_ball_chords_at,
+    segment_ball_clip,
 )
 
 # A 1D density cell edge counts as a sharp feature when the value step across
@@ -59,6 +61,35 @@ def _as_curve(points, rho):
         raise ValueError("curve has a segment whose squared length "
                          "underflows")
     return pts, float(rho), np.linalg.norm(seg, axis=1)
+
+
+class _SegmentTable(NamedTuple):
+    """Every segment of the curves of nonzero density, in curve-then-
+    segment order: endpoints a and b (k, 2), density and length (k,), and
+    each such curve's (start, stop) rows."""
+    a: np.ndarray
+    b: np.ndarray
+    rho: np.ndarray
+    length: np.ndarray
+    spans: tuple
+
+    @classmethod
+    def of(cls, curves) -> "_SegmentTable":
+        """The table of (points, density, lengths) curves."""
+        charged = [curve for curve in curves if curve[1] != 0.0]
+        if not charged:
+            return _NO_SEGMENTS
+        pts, rhos, lens = zip(*charged)
+        counts = [len(lengths) for lengths in lens]
+        stops = np.cumsum(counts).tolist()
+        return cls(np.concatenate([p[:-1] for p in pts]),
+                   np.concatenate([p[1:] for p in pts]),
+                   np.repeat(rhos, counts), np.concatenate(lens),
+                   tuple(zip([0] + stops[:-1], stops)))
+
+
+_NO_SEGMENTS = _SegmentTable(np.empty((0, 2)), np.empty((0, 2)), np.empty(0),
+                             np.empty(0), ())
 
 
 def _finite_total_variation(tv: float, parts: np.ndarray,
@@ -166,21 +197,30 @@ class Measure:
                         [np.zeros((1, grid.extents[1] + 1)),
                          np.cumsum(self._drow_cum_abs, axis=0)]))
 
-        # normalize curves
+        # normalize curves; every curve walk reads the segment table
         curves = []
         for points, rho in self.curves:
             if d != 2:
                 raise ValueError("curves are only supported in d = 2")
-            pts, rho, lens = _as_curve(points, rho)
-            curves.append((pts, rho, lens))
-        object.__setattr__(
-            self, "curves",
-            tuple((pts, rho) for pts, rho, _ in curves))
-        object.__setattr__(self, "_curve_data", tuple(curves))
+            curves.append(_as_curve(points, rho))
+        object.__setattr__(self, "curves",
+                           tuple((pts, rho) for pts, rho, _ in curves))
+        object.__setattr__(self, "_segs", _SegmentTable.of(curves))
 
-        for _, rho, lens in curves:
-            tv = _finite_total_variation(tv, lens, abs(rho))
+        for rho, length in self._curve_totals():
+            tv = _finite_total_variation(tv, length, abs(rho))
         object.__setattr__(self, "_total_variation", tv)
+
+    def _curve_totals(self):
+        """(density, length) of each curve of nonzero density; the length
+        sums the curve's rows of the segment table."""
+        segs = self._segs
+        return [(float(segs.rho[s]), float(np.sum(segs.length[s:e])))
+                for s, e in segs.spans]
+
+    def _segments(self):
+        """(a, b, density) of each row of the segment table."""
+        return zip(self._segs.a, self._segs.b, self._segs.rho.tolist())
 
     # ------------------------------------------------------------------
     # totals and structure
@@ -193,8 +233,8 @@ class Measure:
         if self.density is not None:
             g, v = self.density
             m += float(np.sum(v)) * g.cell_volume
-        for pts, rho, lens in self._curve_data:
-            m += rho * float(np.sum(lens))
+        for rho, length in self._curve_totals():
+            m += rho * length
         return m
 
     def density_sharp_edges(self) -> np.ndarray:
@@ -216,10 +256,10 @@ class Measure:
                                      for ax, idx in zip(axes, nz)]))
                 his.append(np.array([ax[idx.max()] + h
                                      for ax, idx in zip(axes, nz)]))
-        for pts, rho, _ in self._curve_data:
-            if rho != 0.0:
-                los.append(pts.min(axis=0))
-                his.append(pts.max(axis=0))
+        if self._segs.spans:
+            ends = np.concatenate([self._segs.a, self._segs.b])
+            los.append(ends.min(axis=0))
+            his.append(ends.max(axis=0))
         if not los:
             return None
         lo = np.min(np.vstack(los), axis=0)
@@ -276,13 +316,9 @@ class Measure:
             else:
                 out += self._disk_density_mass(points, radii, absolute, closed)
 
-        for pts, rho, _ in self._curve_data:
+        for a, b, rho in self._segments():
             w = abs(rho) if absolute else rho
-            if w == 0.0:
-                continue
-            for s in range(len(pts) - 1):
-                out += w * segment_ball_chords_at(pts[s], pts[s + 1],
-                                                  points, radii)
+            out += w * segment_ball_chords_at(a, b, points, radii)
         return out
 
     def _disk_density_mass(self, points, radii, absolute, closed):
@@ -356,13 +392,9 @@ class Measure:
             dist = self._atom_distances(c[None, :])[0]
             inside = dist <= radius if closed else dist < radius
             total += float(np.sum(np.abs(self._aw[inside])))
-        for pts, rho, _ in self._curve_data:
-            if rho == 0.0:
-                continue
-            for s in range(len(pts) - 1):
-                total += abs(rho) * float(
-                    segment_ball_chords_at(pts[s], pts[s + 1], c[None, :],
-                                           np.array([radius]))[0])
+        for a, b, rho in self._segments():
+            total += abs(rho) * float(segment_ball_chords_at(
+                a, b, c[None, :], np.array([radius]))[0])
         return total
 
     def singular_support_distance(self, points) -> np.ndarray:
@@ -376,13 +408,19 @@ class Measure:
             for b in range(0, len(points), rows):
                 best[b:b + rows] = self._atom_distances(
                     points[b:b + rows]).min(axis=1)
-        for pts, rho, _ in self._curve_data:
-            if rho == 0.0:
-                continue
-            for s in range(len(pts) - 1):
-                best = np.minimum(
-                    best, point_segment_distance(points, pts[s], pts[s + 1]))
+        for a, b, _ in self._segments():
+            best = np.minimum(best, point_segment_distance(points, a, b))
         return best
+
+    def singular_parts_near(self, center, reach: float):
+        """(|weights| of the atoms, |densities| of the curve segments) at
+        distance at most reach from center, in the order of the atoms and
+        of the segment table."""
+        c = np.asarray(as_point(center, self.dimension))[None, :]
+        gaps = np.array([point_segment_distance(c, a, b)[0]
+                         for a, b, _ in self._segments()])
+        return (np.abs(self._aw[self._atom_distances(c)[0] <= reach]),
+                np.abs(self._segs.rho[gaps <= reach]))
 
     # ------------------------------------------------------------------
     # mollified density
@@ -450,22 +488,12 @@ class Measure:
             vnew = np.where(inside.reshape(grid.extents), values, 0.0)
             density = (grid, vnew)
         curves = []
-        for pts, rho, _ in self._curve_data:
-            for s in range(len(pts) - 1):
-                a, b = pts[s], pts[s + 1]
+        for a, b, rho in self._segments():
+            (t0,), (t1,) = segment_ball_clip(a, b, c[None, :],
+                                             np.array([radius]))
+            if t1 - t0 > 1e-14:
                 u = b - a
-                seg2 = float(u @ u)
-                w = a - c
-                bq = 2.0 * float(w @ u)
-                cq = float(w @ w) - radius**2
-                disc = bq * bq - 4.0 * seg2 * cq
-                if disc <= 0:
-                    continue
-                sq = math.sqrt(disc)
-                t0 = max(0.0, (-bq - sq) / (2.0 * seg2))
-                t1 = min(1.0, (-bq + sq) / (2.0 * seg2))
-                if t1 - t0 > 1e-14:
-                    curves.append((np.vstack([a + t0 * u, a + t1 * u]), rho))
+                curves.append((np.vstack([a + t0 * u, a + t1 * u]), rho))
         return Measure(self.dimension, tuple(atoms), density, tuple(curves))
 
 

@@ -15,6 +15,7 @@ from maxchar.decay import (
     level_integral_slice,
 )
 from maxchar.errors import ResolutionError
+from maxchar.geometry import UniformGrid
 from maxchar.level_sets import DECAYS, INCONCLUSIVE, PERSISTS
 from maxchar.measure import Measure, unit_atom
 
@@ -107,6 +108,28 @@ class TestDecayQuantity:
                               [0.0, 0.0], 1.0)
         with pytest.raises(ResolutionError, match="refine the mesh"):
             decay_quantity(tf, 1e-4)
+
+    @pytest.mark.parametrize("a,b", [((-1.0, 0.0), (1.0, 0.0)),
+                                     ((-1.02, 0.0), (0.98, 0.0))])
+    def test_2d_mesh_guard_sees_a_curve_by_its_distance(self, a, b):
+        # both segments cross B(0, 0.01); points 0.05 apart along the
+        # shifted one lie 0.02 and 0.03 from the centre, beyond the guard's
+        # reach of 0.010625, so only the exact distance sees it
+        mu = Measure(2, curves=((np.array([a, b]), 1.0),))
+        with pytest.raises(ResolutionError,
+                           match="clipping radius 3.1831e-07 at delta=1e-06"):
+            decay_sweep(TimeField.steady(mu, [0.0, 0.0], 0.01))
+
+    def test_zero_density_curve_leaves_the_2d_report(self):
+        grid = UniformGrid.cover_cells((-0.5, -0.5), (0.5, 0.5), 0.02)
+        density = (grid, np.ones(grid.extents))
+        curve = (np.array([[-1.0, 0.1], [1.0, 0.1]]), 0.0)
+        alone = decay_sweep(TimeField.steady(
+            Measure(2, density=density), [0.0, 0.0], 0.3))
+        # a curve of density 0 has clipping radius 0 but carries nothing
+        got = decay_sweep(TimeField.steady(
+            Measure(2, density=density, curves=(curve,)), [0.0, 0.0], 0.3))
+        assert got == alone
 
 
 class TestDecaySweep:

@@ -44,8 +44,7 @@ def synthetic_curve(lambdas, volumes, flags=None):
     if flags is None:
         flags = (False,) * len(lambdas)
     return DistributionCurve(lambdas=lambdas, volumes=tuple(volumes),
-                             flags=tuple(flags), window=Box((0.0,), (1.0,)),
-                             variant="M")
+                             flags=tuple(flags))
 
 
 class TestLambdaGrid:
@@ -170,7 +169,7 @@ def _superlevel_loop(field, lam):
 
 def _field(values, h, extents):
     grid = UniformGrid((0.0,) * len(extents), h, extents)
-    return MaximalField(grid, np.asarray(values, dtype=float), "M",
+    return MaximalField(grid, np.asarray(values, dtype=float),
                         RadiusGrid.geometric(h, 2.0 * h, 8))
 
 
@@ -293,8 +292,7 @@ class TestDistributionCurve:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatched"):
             DistributionCurve(lambdas=(1.0, 2.0), volumes=(1.0,),
-                              flags=(False, False),
-                              window=Box((0.0,), (1.0,)), variant="M")
+                              flags=(False, False))
 
     def test_truncation_guard(self):
         # every node closer to the atom than r_min gets flagged

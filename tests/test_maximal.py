@@ -1103,8 +1103,9 @@ class TestAtomicEvents:
         h_bg = 2.0 * tf.ball_radius / decay._BACKGROUND_CELLS
         edges = decay._graded_edges_1d(-1.0, 1.0, mu, delta, h_bg)
         x = 0.5 * (edges[:-1] + edges[1:])
-        rg = decay._radius_grid_for(mu, -1.0, 1.0, delta, h_bg, 64)
-        got = decay._slice_field_1d(mu, 0.0, 1.0, delta, h_bg, 64).values
+        r_min = 0.9 * delta * 1.0 / decay._CLIP_MARGIN
+        rg = decay._radius_grid_for(mu, -1.0, 1.0, r_min, 64)
+        got, _ = decay._slice_field(mu, (0.0,), 1.0, delta, h_bg, 64)
         a = mu._apos[:, 0]
         dist = np.abs(x[:, None] - a[None, :])
         # the positions x +- |x - a| miss a on some nodes

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxchar import measure
-from maxchar.geometry import UniformGrid
+from maxchar.geometry import (
+    Box,
+    UniformGrid,
+    point_segment_distance,
+    segment_ball_chords_at,
+)
 from maxchar.measure import GridFunction, Measure, unit_atom
 
 
@@ -332,6 +337,161 @@ class TestSupportAndSingular:
         got = queries()
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def _parent_curve_loops(mu):
+    """The curve walks as they were before the segment table: nested loops
+    over mu.curves and their segments, on top of the curve-free part."""
+    free = Measure(2, atoms=mu.atoms, density=mu.density)
+    curves = [(pts, rho, np.linalg.norm(np.diff(pts, axis=0), axis=1))
+              for pts, rho in mu.curves]
+
+    def ball_masses(points, radii, absolute, closed):
+        out = free.ball_masses(points, radii, absolute, closed)
+        radii = np.broadcast_to(np.asarray(radii, dtype=float),
+                                (len(points),))
+        for pts, rho, _ in curves:
+            w = abs(rho) if absolute else rho
+            if w == 0.0:
+                continue
+            for s in range(len(pts) - 1):
+                out += w * segment_ball_chords_at(pts[s], pts[s + 1],
+                                                  points, radii)
+        return out
+
+    def singular_mass_ball(center, radius, closed):
+        total = free.singular_mass_ball(center, radius, closed)
+        c = np.asarray(center, dtype=float)
+        for pts, rho, _ in curves:
+            if rho == 0.0:
+                continue
+            for s in range(len(pts) - 1):
+                total += abs(rho) * float(
+                    segment_ball_chords_at(pts[s], pts[s + 1], c[None, :],
+                                           np.array([radius]))[0])
+        return total
+
+    def singular_support_distance(points):
+        best = free.singular_support_distance(points)
+        for pts, rho, _ in curves:
+            if rho == 0.0:
+                continue
+            for s in range(len(pts) - 1):
+                best = np.minimum(
+                    best, point_segment_distance(points, pts[s], pts[s + 1]))
+        return best
+
+    def support_box():
+        box = free.support_box()
+        los = [] if box is None else [np.array(box.lo)]
+        his = [] if box is None else [np.array(box.hi)]
+        for pts, rho, _ in curves:
+            if rho != 0.0:
+                los.append(pts.min(axis=0))
+                his.append(pts.max(axis=0))
+        if not los:
+            return None
+        return Box(tuple(np.min(np.vstack(los), axis=0)),
+                   tuple(np.max(np.vstack(his), axis=0)))
+
+    def totals():
+        tv, m = free.total_variation(), free.total_mass()
+        for _, rho, lens in curves:
+            tv += float(np.sum(lens)) * abs(rho)
+            m += rho * float(np.sum(lens))
+        return tv, m
+
+    return (ball_masses, singular_mass_ball, singular_support_distance,
+            support_box, totals)
+
+
+# non-dyadic coordinates on a lattice, so no segment's squared length
+# underflows
+_curve_coord = st.integers(-200, 200).map(lambda k: k / 97)
+
+
+@st.composite
+def curve_measures(draw):
+    """A 2D measure of signed atoms, an optional signed density and 1-3
+    polylines of up to 12 segments, some of density 0, with query points
+    (some on curve vertices) and scalar or per-point radii."""
+    locs = draw(st.lists(st.tuples(_curve_coord, _curve_coord), max_size=3,
+                         unique=True))
+    weights = st.sampled_from([0.4, -1.5, 2.0])
+    atoms = tuple((loc, draw(weights)) for loc in locs)
+    density = None
+    if draw(st.booleans()):
+        extents = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        grid = UniformGrid((draw(st.integers(-200, 200)) / 101,
+                            draw(st.integers(-200, 200)) / 101),
+                           1.0 / draw(st.integers(3, 37)), extents)
+        values = np.array(draw(st.lists(
+            st.sampled_from([0.0, 0.7, -1.3]),
+            min_size=extents[0] * extents[1],
+            max_size=extents[0] * extents[1]))).reshape(extents)
+        density = (grid, values)
+    curves = tuple(
+        (np.array(pts), draw(st.sampled_from([0.0, 1.0, -0.35, 2.5])))
+        for pts in draw(st.lists(
+            st.lists(st.tuples(_curve_coord, _curve_coord), min_size=2,
+                     max_size=13, unique=True),
+            min_size=1, max_size=3)))
+    mu = Measure(2, atoms=atoms, density=density, curves=curves)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 30))
+    points = rng.uniform(-2.5, 2.5, (n, 2))
+    vertices = np.vstack([pts for pts, _ in mu.curves])
+    on_vertex = rng.random(n) < 0.3
+    points[on_vertex] = vertices[rng.integers(len(vertices),
+                                              size=on_vertex.sum())]
+    if draw(st.booleans()):
+        radii = float(rng.uniform(0.01, 3.0))
+    else:
+        radii = rng.uniform(0.01, 3.0, n)
+    return mu, points, radii
+
+
+class TestCurveTable:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(curve_measures())
+    def test_matches_nested_curve_loops_bit_for_bit(self, query):
+        mu, points, radii = query
+        (ball_masses, singular_mass_ball, singular_support_distance,
+         support_box, totals) = _parent_curve_loops(mu)
+
+        def same(got, want):
+            got, want = np.asarray(got), np.asarray(want)
+            return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+        for absolute in (False, True):
+            for closed in (False, True):
+                assert same(mu.ball_masses(points, radii, absolute, closed),
+                            ball_masses(points, radii, absolute, closed))
+        r = float(np.atleast_1d(radii)[0])
+        for closed in (False, True):
+            assert same(mu.singular_mass_ball(points[0], r, closed),
+                        singular_mass_ball(points[0], r, closed))
+        assert same(mu.singular_support_distance(points),
+                    singular_support_distance(points))
+        got, want = mu.support_box(), support_box()
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert same(got.lo + got.hi, want.lo + want.hi)
+        assert same((mu.total_variation(), mu.total_mass()), totals())
+
+    def test_zero_density_curves_carry_nothing(self):
+        seg = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        mu = Measure(2, atoms=(((0.9, 0.9), 1.0),), curves=((seg, 0.0),))
+        atom = Measure(2, atoms=(((0.9, 0.9), 1.0),))
+        pts = np.array([[0.0, 0.0], [0.5, 0.1]])
+        assert np.array_equal(mu.ball_masses(pts, 0.3), atom.ball_masses(
+            pts, 0.3))
+        assert mu.singular_mass_ball((0.0, 0.0), 1.0) == 0.0
+        assert np.array_equal(mu.singular_support_distance(pts),
+                              atom.singular_support_distance(pts))
+        assert mu.support_box() == atom.support_box()
+        assert mu.restricted_to_ball((0.0, 0.0), 2.0).curves == ()
+        assert len(mu.curves) == 1
 
 
 class TestAlgebra:

@@ -14,7 +14,7 @@ from maxchar.bv import BVFunction1D
 from maxchar.cli import main
 from maxchar.decay import DecayReport, TimeField
 from maxchar.errors import SpecSchemaError
-from maxchar.geometry import Box, UniformGrid
+from maxchar.geometry import UniformGrid
 from maxchar.level_sets import PERSISTS, DistributionCurve, TailVerdict
 from maxchar.measure import Measure
 from maxchar.specio import (
@@ -152,8 +152,7 @@ class TestWriters:
 
     def test_distribution_csv(self):
         curve = DistributionCurve(lambdas=(1.0, 2.0), volumes=(1.0, 0.25),
-                                  flags=(False, True),
-                                  window=Box((0.0,), (1.0,)), variant="M")
+                                  flags=(False, True))
         assert distribution_csv(curve) == (
             "lambda,volume,product,flag\n1,1,1,0\n2,0.25,0.5,1\n")
 
@@ -373,6 +372,26 @@ class TestCliExitCodes:
             assert run_cli(*argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+    @pytest.mark.parametrize("ball,horizon,reason", [
+        ('{"center": [0.5], "radius": 1e309}', "",
+         "ball radius must be finite and positive"),
+        ('{"center": [1e309], "radius": 0.5}', "",
+         "non-finite coordinates: (inf,)"),
+        ('{"center": [0.5], "radius": 0.5}', ',\n  "T": 1e309',
+         "horizon must be finite"),
+    ], ids=["radius", "center", "horizon"])
+    def test_non_finite_time_field(self, tmp_path, capsys, ball, horizon,
+                                   reason):
+        # JSON reads 1e309 as inf
+        p = tmp_path / "tf.json"
+        p.write_text('{\n  "times": [0.5],\n'
+                     '  "slices": [{"dimension": 1, "atoms": []}],\n'
+                     f'  "ball": {ball}{horizon}\n}}\n')
+        assert run_cli("decay", "--input", str(p)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {p}:2: invalid time field: {reason}\n"
 
     @pytest.mark.parametrize("argv,config", [
         (("distcurve", "unit_atom.json", "--threads", "2"), None),
