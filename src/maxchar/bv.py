@@ -21,6 +21,30 @@ from .measure import Measure
 _EPS = 1e-12
 
 
+def _batch(*args):
+    """The arguments broadcast together as flat float arrays, with the
+    shape to give results back in."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
+    return arrays[0].shape, [v.ravel() for v in arrays]
+
+
+def _shaped(shape, values: np.ndarray):
+    """Flat results in the broadcast shape; a Python scalar for scalars."""
+    return values.reshape(shape) if shape else values[0].item()
+
+
+class _Pieces(NamedTuple):
+    """The affine pieces of a batch of intervals, interval by interval from
+    left to right: interval i owns pieces starts[i]:starts[i + 1]."""
+    starts: np.ndarray
+    ball: np.ndarray  # owning interval of each piece
+    slot: np.ndarray  # its position within that interval
+    x0: np.ndarray
+    x1: np.ndarray
+    f_mid: np.ndarray
+    slope: np.ndarray
+
+
 @dataclass(frozen=True)
 class BVFunction1D:
     breakpoints: tuple = ()
@@ -65,6 +89,14 @@ class BVFunction1D:
         else:
             vals = np.asarray([self.initial_value])
         object.__setattr__(self, "_bpvals", vals)
+        # the piece table's lookups, padded by one entry at each end: the
+        # sorted distinct cuts, and the slope left of, between and right of
+        # the breakpoints (np.union1d would import numpy.ma)
+        cuts = np.sort(np.concatenate([bp, jloc]))
+        object.__setattr__(self, "_cuts", np.concatenate(
+            [[0.0], cuts[np.diff(cuts, prepend=-np.inf) > 0], [0.0]]))
+        object.__setattr__(self, "_padded_slopes",
+                           np.concatenate([[0.0], sl, [0.0]]))
         if self.compact_support:
             final = float(vals[-1]) + float(np.sum(jh))
             if abs(self.initial_value) > _EPS or abs(final) > _EPS:
@@ -103,101 +135,147 @@ class BVFunction1D:
         return float(np.sum(np.abs(self._jh)))
 
     # ------------------------------------------------------------------
-    # exact integrals
+    # exact integrals, batched: a, b (and m, nu, v) are scalars or arrays
+    # that broadcast together; scalar arguments give a float
 
-    def _segments(self, a: float, b: float):
-        """Cut (a, b) at breakpoints and jump locations; f is affine on each
-        open piece.  Yields (x0, x1, f_mid, slope)."""
-        if b <= a:
-            return
-        cuts = [a, b]
-        cuts.extend(t for t in self._bp if a < t < b)
-        cuts.extend(t for t in self._jloc if a < t < b)
-        cuts = sorted(set(cuts))
-        for x0, x1 in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (x0 + x1)
-            k = np.searchsorted(self._bp, mid) - 1
-            slope = float(self._sl[k]) if 0 <= k < len(self._sl) else 0.0
-            yield x0, x1, float(self.value(mid)), slope
+    def _pieces(self, a, b) -> _Pieces:
+        """Cut each (a_i, b_i) at the breakpoints and jump locations strictly
+        inside it; f is affine on each open piece.  b_i <= a_i gives none."""
+        ext = self._cuts  # ext[k + 1] is cut k, for k = -1 ... cuts
+        lo = np.searchsorted(ext[1:-1], a, side="right")
+        count = np.where(b > a, np.searchsorted(ext[1:-1], b) - lo + 1, 0)
+        starts = np.concatenate([[0], np.cumsum(count)])
+        ball = np.repeat(np.arange(a.size), count)
+        slot = np.arange(starts[-1]) - starts[ball]
+        at = lo[ball] + slot
+        x0 = np.where(slot == 0, a[ball], ext[at])
+        x1 = np.where(slot == count[ball] - 1, b[ball], ext[at + 1])
+        mid = 0.5 * (x0 + x1)
+        return _Pieces(starts, ball, slot, x0, x1, self.value(mid),
+                       self._padded_slopes[np.searchsorted(self._bp, mid)])
 
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral of f over (a, b): midpoint rule is exact per piece."""
-        return math.fsum((x1 - x0) * fm for x0, x1, fm, _ in self._segments(a, b))
+    @staticmethod
+    def _integrals(p: _Pieces) -> np.ndarray:
+        """Per interval, the exactly rounded sum of (x1 - x0) f(mid): the
+        midpoint rule is exact per piece, and the order does not matter."""
+        terms = ((p.x1 - p.x0) * p.f_mid).tolist()
+        bounds = p.starts.tolist()
+        return np.array([math.fsum(terms[s:e])
+                         for s, e in zip(bounds[:-1], bounds[1:])])
 
-    def mean_ball(self, x: float, r: float) -> float:
-        return self.integral(x - r, x + r) / (2.0 * r)
+    @staticmethod
+    def _abs_deviations(p: _Pieces, m) -> np.ndarray:
+        """Per interval, the integral of |f - m_i|, split at sign changes and
+        summed piece by piece from the left: a running sum along each row
+        (every term is >= +0, so the padding slots add +0.0 exactly, and
+        the first term equals 0.0 plus it)."""
+        x0, x1 = p.x0, p.x1
+        half = 0.5 * (x1 - x0)
+        g0 = p.f_mid - m[p.ball] - p.slope * half
+        g1 = p.f_mid - m[p.ball] + p.slope * half
+        a0, a1 = np.abs(g0), np.abs(g1)
+        term = 0.5 * (a0 + a1) * (x1 - x0)
+        cross = g0 * g1 < 0
+        a0c, a1c = a0[cross], a1[cross]
+        t = a0c / (a0c + a1c)  # crossing fraction
+        term[cross] = 0.5 * (x1 - x0)[cross] * (a0c * t + a1c * (1 - t))
+        slots = np.zeros((m.size, 1 + int(np.max(np.diff(p.starts),
+                                                 initial=0))))
+        slots[p.ball, p.slot] = term
+        return np.cumsum(slots, axis=1)[:, -1]
 
-    def abs_deviation_integral(self, a: float, b: float, m: float) -> float:
+    def integral(self, a, b):
+        """Exact integral of f over (a, b)."""
+        shape, (a, b) = _batch(a, b)
+        return _shaped(shape, self._integrals(self._pieces(a, b)))
+
+    def mean_ball(self, x, r):
+        shape, (x, r) = _batch(x, r)
+        if np.any(r <= 0):
+            raise ValueError("r must be positive")
+        return _shaped(shape, self._integrals(self._pieces(x - r, x + r))
+                       / (2.0 * r))
+
+    def abs_deviation_integral(self, a, b, m):
         """Exact integral of |f - m| over (a, b), splitting at sign changes."""
-        total = 0.0
-        for x0, x1, fm, s in self._segments(a, b):
-            half = 0.5 * (x1 - x0)
-            g0 = fm - m - s * half
-            g1 = fm - m + s * half
-            if g0 * g1 < 0:
-                t = abs(g0) / (abs(g0) + abs(g1))  # crossing fraction
-                total += 0.5 * (x1 - x0) * (abs(g0) * t + abs(g1) * (1 - t))
-            else:
-                total += 0.5 * (abs(g0) + abs(g1)) * (x1 - x0)
-        return float(total)
+        shape, (a, b, m) = _batch(a, b, m)
+        return _shaped(shape, self._abs_deviations(self._pieces(a, b), m))
 
-    def l1_norm(self, a: float, b: float) -> float:
+    def l1_norm(self, a, b):
         return self.abs_deviation_integral(a, b, 0.0)
 
-    def _variation(self, a: float, b: float, weight) -> float:
-        """Integral of weight(eta) d|Df| over (a, b), with eta the sign of
-        the derivative: slopes clipped to (a, b), jumps strictly inside."""
-        if b <= a:
-            return 0.0
-        total = 0.0
-        if self._bp.size:
-            lo = np.maximum(self._bp[:-1], a)
-            hi = np.minimum(self._bp[1:], b)
-            lens = np.maximum(0.0, hi - lo)
-            total += float(np.sum(
-                weight(np.sign(self._sl)) * np.abs(self._sl) * lens))
-        jh = self._jh[(self._jloc > a) & (self._jloc < b)]
-        total += float(np.sum(weight(np.sign(jh)) * np.abs(jh)))
-        return total
+    def _jump_slices(self, a, b):
+        """First index and count of the jumps strictly inside each (a, b)."""
+        first = np.searchsorted(self._jloc, a, side="right")
+        return first, np.maximum(np.searchsorted(self._jloc, b) - first, 0)
 
-    def tv_open(self, a: float, b: float) -> float:
+    def _variation(self, a, b, weight) -> np.ndarray:
+        """Integral of weight(eta, rows) d|Df| over each (a_i, b_i), with eta
+        the sign of the derivative and rows the intervals eta belongs to:
+        slopes clipped to (a, b), jumps strictly inside.
+
+        Each row is summed by np.sum over rows of one length, which adds as
+        the 1D np.sum of that row does; zero-padding to a common length
+        would not, so the jumps are grouped by their count."""
+        lo = np.maximum(self._bp[:-1], a[:, None])
+        hi = np.minimum(self._bp[1:], b[:, None])
+        lens = np.maximum(0.0, hi - lo)
+        total = np.sum(weight(np.sign(self._sl), slice(None))
+                       * np.abs(self._sl) * lens, axis=1)
+        first, count = self._jump_slices(a, b)
+        for n in set(count.tolist()) - {0}:
+            rows = np.flatnonzero(count == n)
+            jh = self._jh[first[rows, None] + np.arange(n)]
+            total[rows] += np.sum(weight(np.sign(jh), rows) * np.abs(jh),
+                                  axis=1)
+        return np.where(b > a, total, 0.0)
+
+    def tv_open(self, a, b):
         """|Df|((a, b)): jumps strictly inside, consistent with open balls."""
-        return self._variation(a, b, lambda eta: 1.0)
+        shape, (a, b) = _batch(a, b)
+        return _shaped(shape, self._variation(a, b, lambda eta, rows: 1.0))
 
-    def penalty_integral(self, a: float, b: float, nu: float) -> float:
+    def penalty_integral(self, a, b, nu):
         """Directional penalty: integral of (1 - nu * eta) d|Df| over (a, b),
         with eta the sign of the derivative."""
-        if abs(abs(nu) - 1.0) > _EPS:
+        shape, (a, b, nu) = _batch(a, b, nu)
+        if np.any(np.abs(np.abs(nu) - 1.0) > _EPS):
             raise ValueError("direction must be a unit vector")
-        return self._variation(a, b, lambda eta: 1.0 - nu * eta)
+        return _shaped(shape, self._variation(
+            a, b, lambda eta, rows: 1.0 - nu[rows, None] * eta))
 
-    def any_vector_penalty(self, a: float, b: float, v: float) -> float:
+    def any_vector_penalty(self, a, b, v):
         """Penalty 2 * integral of |eta - v| d|Df| over (a, b), v arbitrary."""
-        return 2.0 * self._variation(a, b, lambda eta: np.abs(eta - v))
+        shape, (a, b, v) = _batch(a, b, v)
+        return _shaped(shape, 2.0 * self._variation(
+            a, b, lambda eta, rows: np.abs(eta - v[rows, None])))
 
 
 # ----------------------------------------------------------------------
 # inequality checks
 
 
-def _penalized_bound(f: BVFunction1D, x: float, r: float, c1: float,
-                     c2: float, penalty):
+def _penalized_bound(f: BVFunction1D, x, r, c1: float, c2: float, penalty):
     """(lhs, rhs, holds, oscillation, penalty) of
 
         (1/r) int_{B(x, c2 r)} |f - mean| + penalty(x - c2 r, x + c2 r)
             >=  c1 |Df|(B(x, r)) ?
+
+    for flat arrays x and r; the mean and the oscillation share one piece
+    table of the outer balls.
     """
-    if r <= 0:
+    if np.any(r <= 0):
         raise ValueError("r must be positive")
     if c2 < 1:
         raise ValueError("c2 must be at least 1")
     R = c2 * r
-    m = f.mean_ball(x, R)
-    osc = f.abs_deviation_integral(x - R, x + R, m) / r
+    pieces = f._pieces(x - R, x + R)
+    m = f._integrals(pieces) / (2.0 * R)
+    osc = f._abs_deviations(pieces, m) / r
     pen = penalty(x - R, x + R)
     lhs = osc + pen
     rhs = f.tv_open(x - r, x + r)
-    holds = lhs >= c1 * rhs - _EPS * (1.0 + abs(lhs) + abs(rhs))
+    holds = lhs >= c1 * rhs - _EPS * (1.0 + np.abs(lhs) + np.abs(rhs))
     return lhs, rhs, holds, osc, pen
 
 
@@ -209,17 +287,20 @@ class ReversePoincareResult(NamedTuple):
     penalty_term: float
 
 
-def reverse_poincare_check(f: BVFunction1D, x: float, r: float, nu: float,
-                           c1: float, c2: float) -> ReversePoincareResult:
+def reverse_poincare_check(f: BVFunction1D, x, r, nu, c1: float,
+                           c2: float) -> ReversePoincareResult:
     """Penalized lower bound on local total variation:
 
         (1/r) int_{B(x, c2 r)} |f - mean| + int_{B(x, c2 r)} (1 - nu eta) d|Df|
             >=  c1 |Df|(B(x, r)) ?
 
-    Both sides are exact; holds compares with c1 and an fp cushion.
+    Both sides are exact; holds compares with c1 and an fp cushion.  x, r
+    and nu broadcast together; arrays give arrays in each field.
     """
-    return ReversePoincareResult(*_penalized_bound(
-        f, x, r, c1, c2, lambda a, b: f.penalty_integral(a, b, nu)))
+    shape, (x, r, nu) = _batch(x, r, nu)
+    sides = _penalized_bound(f, x, r, c1, c2,
+                             lambda a, b: f.penalty_integral(a, b, nu))
+    return ReversePoincareResult(*(_shaped(shape, s) for s in sides))
 
 
 class AnyVectorResult(NamedTuple):
@@ -231,24 +312,31 @@ class AnyVectorResult(NamedTuple):
     consistency_ok: bool
 
 
-def any_vector_penalty_check(f: BVFunction1D, x: float, r: float, v: float,
-                             c1: float, c2: float) -> AnyVectorResult:
+def any_vector_penalty_check(f: BVFunction1D, x, r, v, c1: float,
+                             c2: float) -> AnyVectorResult:
     """Variant replacing the directional penalty by 2 int |eta - v| d|Df|.
 
     For v != 0 also verifies the pointwise domination
     2|eta - v| >= 1 - (v/|v|) eta on the derivative's support in the ball.
+    x, r and v broadcast together as in reverse_poincare_check.
     """
+    shape, (x, r, v) = _batch(x, r, v)
     sides = _penalized_bound(f, x, r, c1, c2,
                              lambda a, b: f.any_vector_penalty(a, b, v))
-    consistency = True
-    if v != 0.0:
-        R = c2 * r
-        unit = v / abs(v)
-        etas = [math.copysign(1.0, s) for s in f._sl if s != 0.0]
-        etas += [math.copysign(1.0, h) for loc, h in
-                 zip(f._jloc, f._jh) if x - R < loc < x + R]
-        consistency = all(2 * abs(e - v) >= 1 - unit * e - _EPS for e in etas)
-    return AnyVectorResult(*sides, consistency)
+    R = c2 * r
+    first, count = f._jump_slices(x - R, x + R)
+    rising = np.concatenate([[0], np.cumsum(~np.signbit(f._jh))])
+    n_up = rising[first + count] - rising[first]
+    unit = np.sign(v)  # v / |v| where v != 0
+
+    def dominated(eta, present):
+        return ~present | (2 * np.abs(eta - v) >= 1 - unit * eta - _EPS)
+
+    consistency = (v == 0.0) | (
+        dominated(1.0, np.any(f._sl > 0) | (n_up > 0))
+        & dominated(-1.0, np.any(f._sl < 0) | (n_up < count)))
+    return AnyVectorResult(*(_shaped(shape, s) for s in sides),
+                           _shaped(shape, consistency))
 
 
 def ramp_plateau_counterexample(n: int) -> BVFunction1D:

@@ -240,7 +240,7 @@ def _block_values(mu: Measure, free: Optional[Measure], points: np.ndarray,
     dist, sums = _sorted_atom_sums(mu, points, signed)
     # the nearest atom is the first sorted distance
     flags = (dist[:, :1] < rg.r_min).any(axis=1)
-    if mu.curves:
+    if mu._segs.spans:
         flags |= free.singular_support_distance(points) < rg.r_min
     d = mu.dimension
     omega = UNIT_BALL_VOLUME[d]
@@ -361,7 +361,7 @@ def maximal_values_at(mu: Measure, points: np.ndarray, rg: RadiusGrid,
     signed = variant == "Mbar"
     k = len(mu._apos)
     free = None
-    if mu.density is not None or mu.curves:
+    if mu.density is not None or mu._segs.spans:
         free = Measure(mu.dimension, density=mu.density,
                        curves=mu.curves) if k else mu
     rows = max(1, _EVENT_BLOCK // k) if k else max(1, len(points))

@@ -55,28 +55,43 @@ class _Ctx:
         if key not in obj:
             raise self.fail(f"missing required key '{key}' in {where}", where)
         val = obj[key]
-        if not isinstance(val, kinds):
+        if isinstance(val, bool) or not isinstance(val, kinds):
             raise self.fail(
                 f"key '{key}' in {where} has type {type(val).__name__}", key)
         return val
 
+    def numbers(self, val, key: str, depth: int = 1):
+        """val as floats: a JSON number at depth 0, else a list of items of
+        depth - 1, rows of one length.  Bools, strings, other nesting and
+        integers past the float range fail on the key's line."""
+        if depth:
+            if not isinstance(val, list):
+                raise self.fail(f"key '{key}' must be a list, got "
+                                f"{type(val).__name__}", key)
+            items = [self.numbers(v, key, depth - 1) for v in val]
+            if depth > 1 and len({len(v) for v in items}) > 1:
+                raise self.fail(f"key '{key}' has rows of unequal length",
+                                key)
+            return items
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise self.fail(f"key '{key}' must hold numbers, got "
+                            f"{type(val).__name__}", key)
+        try:
+            return float(val)
+        except OverflowError:
+            raise self.fail(f"key '{key}' holds an integer past the float "
+                            "range", key)
+
 
 def _parse_density(spec: dict, dimension: int, ctx: _Ctx):
-    origin = ctx.need(spec, "origin", list, "density")
-    spacing = ctx.need(spec, "spacing", (int, float), "density")
-    values = np.asarray(ctx.need(spec, "values", list, "density"),
-                        dtype=float)
-    if dimension == 1:
-        if values.ndim != 1:
-            raise ctx.fail("1D density values must be a flat list", "values")
-        extents = (values.size,)
-    else:
-        if values.ndim != 2:
-            raise ctx.fail("2D density values must be a list of rows",
-                           "values")
-        extents = values.shape
+    origin = ctx.numbers(ctx.need(spec, "origin", list, "density"), "origin")
+    spacing = ctx.numbers(ctx.need(spec, "spacing", (int, float), "density"),
+                          "spacing", 0)
+    # a flat list in 1D, a list of rows in 2D
+    values = np.asarray(ctx.numbers(ctx.need(spec, "values", list, "density"),
+                                    "values", dimension), dtype=float)
     try:
-        grid = UniformGrid(tuple(origin), float(spacing), extents)
+        grid = UniformGrid(tuple(origin), spacing, values.shape)
     except ValueError as e:
         raise ctx.fail(f"bad density grid: {e}", "density")
     return (grid, values)
@@ -92,8 +107,9 @@ def _parse_measure(obj: dict, ctx: _Ctx) -> Measure:
             raise ctx.fail(f"atom #{i} must be an object", "atoms")
         loc = ctx.need(entry, "location", (list, int, float), "atom")
         w = ctx.need(entry, "weight", (int, float), "atom")
-        loc = [loc] if isinstance(loc, (int, float)) else loc
-        atoms.append((tuple(float(c) for c in loc), float(w)))
+        loc = loc if isinstance(loc, list) else [loc]
+        atoms.append((tuple(ctx.numbers(loc, "location")),
+                      ctx.numbers(w, "weight", 0)))
     density = None
     if obj.get("density") is not None:
         density = _parse_density(ctx.need(obj, "density", dict, "measure"),
@@ -102,9 +118,10 @@ def _parse_measure(obj: dict, ctx: _Ctx) -> Measure:
     for i, entry in enumerate(obj.get("curves", [])):
         if not isinstance(entry, dict):
             raise ctx.fail(f"curve #{i} must be an object", "curves")
-        pts = np.asarray(ctx.need(entry, "points", list, "curve"),
-                         dtype=float)
-        rho = float(ctx.need(entry, "density", (int, float), "curve"))
+        pts = ctx.numbers(ctx.need(entry, "points", list, "curve"),
+                          "points", 2)
+        rho = ctx.numbers(ctx.need(entry, "density", (int, float), "curve"),
+                          "density", 0)
         curves.append((pts, rho))
     try:
         return Measure(d, atoms=tuple(atoms), density=density,
@@ -114,18 +131,20 @@ def _parse_measure(obj: dict, ctx: _Ctx) -> Measure:
 
 
 def _parse_bv(obj: dict, ctx: _Ctx) -> BVFunction1D:
-    bp = tuple(ctx.need(obj, "breakpoints", list, "function"))
-    slopes = tuple(obj.get("slopes", []))
+    bp = tuple(ctx.numbers(ctx.need(obj, "breakpoints", list, "function"),
+                           "breakpoints"))
+    slopes = tuple(ctx.numbers(obj.get("slopes", []), "slopes"))
     jumps = []
     for i, entry in enumerate(obj.get("jumps", [])):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ctx.fail(f"jump #{i} must be a [location, height] pair",
                            "jumps")
-        jumps.append((float(entry[0]), float(entry[1])))
+        jumps.append(tuple(ctx.numbers(entry, "jumps")))
     try:
         return BVFunction1D(
             breakpoints=bp, slopes=slopes, jumps=tuple(jumps),
-            initial_value=float(obj.get("initial_value", 0.0)),
+            initial_value=ctx.numbers(obj.get("initial_value", 0.0),
+                                      "initial_value", 0),
             compact_support=bool(obj.get("compact_support", False)))
     except ValueError as e:
         raise ctx.fail(f"invalid function: {e}", "breakpoints")
@@ -151,13 +170,14 @@ def _parse_timefield(obj: dict, ctx: _Ctx) -> TimeField:
                 "measure (dimension)", "slices")
     ball = ctx.need(obj, "ball", dict, "time field")
     center = ctx.need(ball, "center", (list, int, float), "ball")
-    center = [center] if isinstance(center, (int, float)) else center
-    radius = float(ctx.need(ball, "radius", (int, float), "ball"))
-    horizon = float(obj.get("T", 1.0))
+    center = center if isinstance(center, list) else [center]
+    radius = ctx.numbers(ctx.need(ball, "radius", (int, float), "ball"),
+                         "radius", 0)
+    horizon = ctx.numbers(obj.get("T", 1.0), "T", 0)
     try:
-        return TimeField(times=tuple(float(t) for t in times),
+        return TimeField(times=tuple(ctx.numbers(times, "times")),
                          slices=tuple(slices),
-                         ball_center=tuple(float(c) for c in center),
+                         ball_center=tuple(ctx.numbers(center, "center")),
                          ball_radius=radius, horizon=horizon)
     except ValueError as e:
         raise ctx.fail(f"invalid time field: {e}", "times")

@@ -1002,6 +1002,27 @@ class TestAtomicEvents:
                 assert abs(Fraction(got[i]) - want) <= \
                     Fraction(1e-12) * want
 
+    def test_zero_density_curve_keeps_the_event_path(self, monkeypatch):
+        atoms = (((0.2, -0.1), 1.0), ((-0.4, 0.3), -2.0))
+        alone = Measure(2, atoms=atoms)
+        mu = Measure(2, atoms=atoms,
+                     curves=(([(-1.0, 0.1), (1.0, 0.1)], 0.0),))
+        nodes = UniformGrid.cover_cells([-1, -1], [1, 1], 0.1).points()
+        rg = RadiusGrid.geometric(0.05, 2.5, 16)
+        want = {v: maximal_values_at(alone, nodes, rg, v, tau=1.0)
+                for v in ("M", "Mbar", "Mtau")}
+
+        def no_query(*args, **kwargs):
+            raise AssertionError("ball_masses called")
+
+        monkeypatch.setattr(Measure, "ball_masses", no_query)
+        for variant, (values, flags) in want.items():
+            got, got_flags = maximal_values_at(mu, nodes, rg, variant,
+                                               tau=1.0)
+            assert np.array_equal(got.view(np.uint64),
+                                  values.view(np.uint64)), variant
+            assert np.array_equal(got_flags, flags), variant
+
     @pytest.mark.parametrize("block", [1, 3, 7, 64])
     def test_row_blocks_do_not_change_bits(self, monkeypatch, block):
         rng = np.random.default_rng(4)

@@ -465,6 +465,34 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"{p}:3:" in err
 
+    @pytest.mark.parametrize("command,spec,message", [
+        ("distcurve", '"dimension": 1,\n"atoms": [\n'
+         '  {"location": [[0.5]], "weight": 1}]',
+         "4: key 'location' must hold numbers, got list"),
+        ("distcurve", '"dimension": 1,\n"atoms": [\n'
+         '  {"location": ["abc"], "weight": 1}]',
+         "4: key 'location' must hold numbers, got str"),
+        ("decay", '"times": [0.5],\n"slices": [{"dimension": 1}],\n'
+         '"ball": {"center": [[0.5]], "radius": 0.5}',
+         "4: key 'center' must hold numbers, got list"),
+        ("sobolev", '"breakpoints": [],\n"jumps": [[[0.5], 1.0]]',
+         "3: key 'jumps' must hold numbers, got list"),
+        ("sobolev", '"breakpoints": [0, 1],\n"slopes": [[1]]',
+         "3: key 'slopes' must hold numbers, got list"),
+        ("distcurve", '"dimension": 1,\n"atoms": [\n'
+         '  {"location": 0.5, "weight": true}]',
+         "4: key 'weight' in atom has type bool"),
+    ], ids=["nested-location", "string-location", "nested-center",
+            "nested-jump", "nested-slope", "bool-weight"])
+    def test_non_numbers_fail_with_one_line(self, tmp_path, capsys, command,
+                                            spec, message):
+        p = tmp_path / "spec.json"
+        p.write_text("{\n" + spec + "\n}\n")
+        assert run_cli(command, "--input", str(p)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {p}:{message}\n"
+
 
 # Each command's two inputs, the first line it prints for each, and the
 # --expect words it accepts, split by the verdict they name.
