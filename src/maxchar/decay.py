@@ -125,7 +125,7 @@ def _graded_edges_1d(a: float, b: float, mu: Measure, delta: float,
         edges.append(np.asarray([loc]))
         edges.append(loc + ladder)
         edges.append(loc - ladder)
-    all_edges = np.unique(np.clip(np.concatenate(edges), a, b))
+    all_edges = np.sort(np.clip(np.concatenate(edges), a, b))
     keep = np.concatenate([[True], np.diff(all_edges) > 1e-15 * (b - a)])
     out = all_edges[keep]
     if out[-1] != b:

@@ -24,48 +24,46 @@ A sweep over the geometric radius grid then raises these values.  The
 result is a lower bound of the true supremum, nondecreasing under
 radius-grid refinement.
 
-The sweep runs the radii in increasing order and decides, at each radius,
-which nodes are live, whose ball can still raise their running supremum:
-the ball must reach the support box, and the running value must lie below
-|mu| / (omega_d r^d), which bounds every ratio at that radius for all
-three variants.  Since that bound falls with r, a node past it stays past
-it, and the sweep stops once every ball reaches the box and no node is
-live.  A 2D measure with a density also skips a live node at one radius
-when its running value reaches B / (omega_d r^d), where B bounds the
-absolute ball mass: the |atom part| at r, the |density| of the cells
-whose centres lie in the square [x +- r]^2 (from a summed-area table) and
-the |curve| total.  B is not monotone in r, so it skips that radius only
-and never stops the sweep.  Taking the event radii first lets both tests
-start from the atoms' values.  The tests carry a relative slack of 1e-9
-against rounding (B also 1e-9 |mu|).
+The sweep decides, at each radius, which nodes are live, whose ball can
+still raise their running supremum: the ball must reach the support box,
+and the running value must lie below |mu| / (omega_d r^d), which bounds
+every ratio at that radius for all three variants.  That bound falls with
+r, so an ascending sweep stops once every ball reaches the box and no node
+is live.  With a 2D density a live node is also skipped at one radius when
+its running value reaches B / (omega_d r^d), B a bound of the absolute
+ball mass: the |atom part| at r, the |density| of the cells whose centres
+lie in the square [x +- r]^2 (from a summed-area table) and the |curve|
+total.  The tests carry a relative slack of 1e-9 (B also 1e-9 |mu|).
 
-The live (node, radius) pairs are not queried one radius at a time: they
-are queued and sent to Measure.ball_masses together, one radius per
-pair, once about 4,096 are pending and when the sweep ends or stops, so
-the few live nodes of the sweep's tail share a call.  A queued pair
-raises its node's running value only at the flush, so the tests in
-between see a value no larger than the one-radius-at-a-time sweep would:
-they keep a superset of its pairs, and a pair they skip is still bounded
-by the node's value.  Every mass term is computed node by node with the
-arithmetic of a scalar radius, so the values are bit for bit those of the
-full sweep, whatever the batch.
+Ascending, a node far from the mass climbs its rising ratio curve one
+radius at a time, too low to prune anything.  So a 2D density is swept in
+a coarse pass, every 8th radius and the last, ascending to the stop, then
+a fine pass, the other radii below the stop, descending.  There B also
+takes the absolute mass of the node's smallest ball queried so far in the
+pass, since |mu|(B(x, r)) is nondecreasing in r; it is |mu| at first and
+stays |mu| for Mbar, whose signed mass is not monotone.
+
+The live (node, radius) pairs are queued and sent to Measure.ball_masses
+together, one radius per pair, once about 4,096 are pending and when a
+pass ends or stops.  A queued pair raises its node's value only at the
+flush, so a pair skipped in between is still bounded by that value.  Every
+mass is computed node by node with the arithmetic of a scalar radius, so
+each value is the max of the same per-pair ratios as the full sweep, bit
+for bit, whatever the batch and the order.
 
 The 1D oscillation field takes every window mean from one prefix sum and
 the deviation from sum |v - m| = 2 sum_{v > m} (v - m).  The samples are
 split once into maximal monotone runs; inside a run {v > m} is one
 contiguous block, so a window of W nodes costs O(runs * log n) instead of
 O(W).  A radius whose windows are at most 16 nodes per run wide scans them
-directly instead, which is cheaper there, and serves noisy input with many
-runs.  Each window width K is computed once, at the smallest radius with
-that K: a larger radius with the same K has the same windows over fewer
-admitted centres and divides by more.  Only centres whose window meets the
-span from the first to the last nonzero sample are computed; a window in a
-zero pad has mean and deviation exactly 0.  A width K costs one binary
-search per run that its windows meet plus a fixed number of in-place
-passes over slices: the means are the difference of two prefix-sum
-slices, each run's window bounds are one slice of the window starts,
-clamped in place, and no other index array is built.  So the field costs
-O(m * runs * log n) per distinct K, m the count of those centres, with the
+directly instead, which is cheaper there and serves noisy input.  Each
+window width K is computed once, at the smallest radius with that K: a
+larger radius with the same K has the same windows over fewer admitted
+centres and divides by more.  Only centres whose window meets the span of
+the nonzero samples are computed; a window in a zero pad has mean and
+deviation exactly 0.  The means are differences of two prefix-sum slices
+and each run's window bounds one clamped slice of the window starts, so a
+width K costs O(m * runs * log n), m the count of those centres, with the
 bits of the loop over every radius and every centre.
 """
 
@@ -170,6 +168,9 @@ _PRUNE_SLACK = 1e-9
 # older running value (of 1,024 to 16,384, 4,096 and 8,192 were fastest)
 _SWEEP_BATCH = 4096
 
+# the coarse pass's radius stride (of 4, 8 and 16, fastest on the square)
+_COARSE_STRIDE = 8
+
 
 def _support_gap(mu: Measure, points: np.ndarray) -> np.ndarray:
     """Distance from each point to the support box (inf for mu = 0)."""
@@ -203,16 +204,11 @@ def _atom_mass(dist, sums, r) -> np.ndarray:
 def _box_bound(mu: Measure, points: np.ndarray):
     """Return bound(r, rows): for each point p of points[rows], a bound B
     of the absolute mass of the ball B(p, r) of an atom-free 2D measure
-    with a density.  With R = r (1 + _PRUNE_SLACK), B sums the |density|
-    of every cell whose centre lies in the closed square [p +- R]^2 and
-    the |curve| total.
-
-    A cell that the centre-in-ball rule counts has its centre within the
-    rounded p +- R, so the square holds it; the square's mass is four
-    lookups in the summed-area table, with the row and column indices
-    found once per distinct x and y of the points.  B is exact to the
-    rounding of the table, which the caller's slack covers.
-    """
+    with a density: the |density| of every cell whose centre lies in the
+    closed square [p +- R]^2, R = r (1 + _PRUNE_SLACK), and the |curve|
+    total.  A cell that the centre-in-ball rule counts lies in the square;
+    its mass is four lookups in the summed-area table, with the row and
+    column indices found once per distinct x and y of the points."""
     table = mu._dbox_abs
     c0, c1 = mu._c0, mu._c1
     ux, ix = np.unique(points[:, 0], return_inverse=True)
@@ -273,11 +269,11 @@ def _block_values(mu: Measure, free: Optional[Measure], points: np.ndarray,
             best = np.maximum(at_min / (omega * rg.r_min**d), best)
         return best, flags
 
-    def open_ratio(rows, r, vol):  # |mu(B(x, r))| / vol, r per row
+    def open_mass(rows, r):  # |mu(B(x, r))|, r per row
         m = free.ball_masses(points[rows], r, absolute=absolute)
         if dist.shape[1]:
             m += _atom_mass(dist[rows], sums[rows], r[:, None])
-        return np.abs(m, out=m) / vol
+        return np.abs(m, out=m)
 
     # sharp density edges (open balls) are event radii too
     for e in free.density_sharp_edges():
@@ -285,11 +281,10 @@ def _block_values(mu: Measure, free: Optional[Measure], points: np.ndarray,
         ok = in_range(r)
         if np.any(ok):
             r = r[ok]
-            best[ok] = np.maximum(best[ok], open_ratio(ok, r, omega * r**d))
+            best[ok] = np.maximum(best[ok], open_mass(ok, r) / (omega * r**d))
 
     # pruned sweep: a ball farther than r from the support box holds no
-    # mass, and no ratio exceeds |mu| / (omega r^d), which falls with r
-    # while best rises, so a node past that bound stays past it
+    # mass, and no ratio exceeds |mu| / (omega r^d)
     gap = _support_gap(mu, points)
     reach = 1.0 + _PRUNE_SLACK
     total = mu.total_variation() * reach
@@ -299,44 +294,62 @@ def _block_values(mu: Measure, free: Optional[Measure], points: np.ndarray,
         box_bound = _box_bound(free, points)
         slack = _PRUNE_SLACK * mu.total_variation()
     radii = rg.radii if tau is None else rg.radii[rg.radii < tau]
-    # each radius's live rows, with the radius and its volume, wait here
-    # until about _SWEEP_BATCH rows are queued; a flush queries them in
-    # one call, one radius per row, and raises best radius by radius
-    pending, queued = [], 0
 
-    def flush():
-        parts, r, vol = zip(*pending)
-        sizes = [len(part) for part in parts]
-        ratio = open_ratio(np.concatenate(parts), np.repeat(r, sizes),
-                           np.repeat(vol, sizes))
-        for part, value in zip(parts, np.split(ratio, np.cumsum(sizes[:-1]))):
-            best[part] = np.maximum(best[part], value)
-        pending.clear()
+    def sweep(radii, above=None):
+        # return where the monotone test stops an ascending sweep (above
+        # None), inf if it does not; a flush raises best and lowers above
+        pending, queued = [], 0
 
-    for r in radii:
-        vol = omega * r**d
-        live = (best < total / vol) & (gap < r * reach)
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            if gap_max < r * reach:
-                break  # every ball reaches the support and no node is live
-            continue
-        if box_bound is not None:
-            # the box bound is not monotone in r: it skips a node at this
-            # radius only, and the break above keeps the monotone test
-            b = box_bound(r, rows)
-            if dist.shape[1]:
-                b += np.abs(_atom_mass(dist[rows], sums[rows], r))
-            rows = rows[best[rows] < (b * reach + slack) / vol]
+        def flush():
+            parts, r, vol = zip(*pending)
+            sizes = [len(part) for part in parts]
+            mass = open_mass(np.concatenate(parts), np.repeat(r, sizes))
+            ratio, cuts = mass / np.repeat(vol, sizes), np.cumsum(sizes[:-1])
+            for part, value in zip(parts, np.split(ratio, cuts)):
+                best[part] = np.maximum(best[part], value)
+            for part, m in zip(parts, np.split(mass, cuts)
+                               if above is not None and absolute else ()):
+                above[part] = np.minimum(above[part], m)
+            pending.clear()
+
+        for r in radii:
+            vol = omega * r**d
+            rows = np.flatnonzero((best < total / vol) & (gap < r * reach))
             if rows.size == 0:
+                if above is None and gap_max < r * reach:
+                    break  # every ball reaches the support, no node is live
                 continue
-        pending.append((rows, r, vol))
-        queued += rows.size
-        if queued >= _SWEEP_BATCH:
+            if box_bound is not None:
+                # the box bound is not monotone in r, nor is above a bound
+                # at larger radii: they skip a node at this radius only
+                b = box_bound(r, rows)
+                if dist.shape[1]:
+                    b += np.abs(_atom_mass(dist[rows], sums[rows], r))
+                if above is not None:
+                    np.minimum(b, above[rows], out=b)
+                rows = rows[best[rows] < (b * reach + slack) / vol]
+                if rows.size == 0:
+                    continue
+            pending.append((rows, r, vol))
+            queued += rows.size
+            if queued >= _SWEEP_BATCH:
+                flush()
+                queued = 0
+        else:
+            r = np.inf
+        if pending:
             flush()
-            queued = 0
-    if pending:
-        flush()
+        return r
+
+    if box_bound is None:
+        sweep(radii)
+        return best, flags
+    # a 2D density: the coarse and fine passes of the module docstring
+    coarse = np.zeros(len(radii), dtype=bool)
+    coarse[::_COARSE_STRIDE] = coarse[-1] = True
+    stop = sweep(radii[coarse])
+    sweep(radii[~coarse & (radii < stop)][::-1],
+          np.full(len(points), mu.total_variation()))
     return best, flags
 
 
@@ -385,22 +398,15 @@ def maximal_field(mu: Measure, eval_grid: UniformGrid, rg: RadiusGrid,
     """Node-wise maximal values over an evaluation grid.
 
     One sorted distance pass per row block, O(nodes * k log k) for k
-    atoms, serves the flags and the atom part of every ball, which then
-    costs O(k) to count.  A purely atomic measure takes its exact values
-    from the event radii alone.  Otherwise the event radii add
-    O(nodes * (atoms + sharp edges)) queries of the atom-free part, and the
-    sweep costs O(live pairs * query): a node-radius pair is live while the
-    ball reaches the support box and |mu| / (omega_d r^d) exceeds the
-    node's running value; with a 2D density, the box bound
-    B / (omega_d r^d) must exceed it as well, at O(1) per live node plus
-    O(log cells) per distinct x and y (see the module docstring).  The
-    live pairs go to the queries in batches of about 4,096, so a radius
-    with few live nodes adds no call of its own; the running values rise
-    at each flush, which leaves a few more pairs live.  A 1D
-    density query costs O(log cells) from cumulative sums; a 2D one costs
-    O(log cells) per cell row within r of the node, two lookups in that
-    row's prefix sums, with the row half-width shared by the nodes of
-    equal x and r.
+    atoms, serves the flags and the atom part of every ball.  A purely
+    atomic measure takes its exact values from the event radii alone.
+    Otherwise the event radii add O(nodes * (atoms + sharp edges)) queries
+    of the atom-free part, and the sweep O(live pairs * query), in batches
+    of about 4,096 pairs (see the module docstring).  A 2D density is swept
+    at every 8th radius ascending, then at the rest below the stop
+    descending, where the mass of a node's larger ball bounds the smaller
+    ones, so that most nodes start near their sup.  A 1D density query
+    costs O(log cells); a 2D one O(log cells) per cell row within r.
     """
     if eval_grid.dimension != mu.dimension:
         raise ValueError("grid dimension mismatch")

@@ -31,30 +31,46 @@ def fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _line_of(text: str, key: str) -> int:
-    """The line of the first object key "key" (a string followed by a
-    colon), 1 if there is none."""
-    found = re.search(re.escape(f'"{key}"') + r"\s*:", text)
-    if found is None:
-        return 1
-    return text.count("\n", 0, found.start()) + 1
+def _holders(node, key):
+    """The objects under node that hold key, in the text order of the key."""
+    if isinstance(node, (dict, list)):
+        for k, value in (node.items() if isinstance(node, dict)
+                         else enumerate(node)):
+            if k == key:
+                yield node
+            yield from _holders(value, key)
 
 
 class _Ctx:
-    """Carries the raw text so nested helpers can report key lines."""
+    """Carries the raw text and parsed root, so errors name key lines."""
 
-    def __init__(self, path, text: str):
+    def __init__(self, path, text: str, root):
         self.path = str(path)
         self.text = text
+        self.root = root
+        self.holder = {}  # each key read, and the object it was read from
 
     def fail(self, message: str, key: str = "") -> SpecSchemaError:
-        line = _line_of(self.text, key) if key else 1
-        return SpecSchemaError(message, path=self.path, line=line)
+        # the nth "key": of the text for the nth object holding key
+        found = [m.start() for m in re.finditer(
+            re.escape(f'"{key}"') + r"\s*:", self.text)] if key else []
+        try:
+            nth = next((i for i, obj in enumerate(_holders(self.root, key))
+                        if obj is self.holder.get(key)), 0)
+        except RecursionError:
+            nth = 0
+        at = found[min(nth, len(found) - 1)] if found else 0
+        return SpecSchemaError(message, path=self.path,
+                               line=self.text.count("\n", 0, at) + 1)
+
+    def get(self, obj: dict, key: str, default=None):
+        self.holder[key] = obj
+        return obj.get(key, default)
 
     def need(self, obj: dict, key: str, kinds, where: str):
         if key not in obj:
             raise self.fail(f"missing required key '{key}' in {where}", where)
-        val = obj[key]
+        val = self.get(obj, key)
         if isinstance(val, bool) or not isinstance(val, kinds):
             raise self.fail(
                 f"key '{key}' in {where} has type {type(val).__name__}", key)
@@ -102,7 +118,7 @@ def _parse_measure(obj: dict, ctx: _Ctx) -> Measure:
     if d not in (1, 2):
         raise ctx.fail(f"dimension must be 1 or 2, got {d}", "dimension")
     atoms = []
-    for i, entry in enumerate(obj.get("atoms", [])):
+    for i, entry in enumerate(ctx.get(obj, "atoms", [])):
         if not isinstance(entry, dict):
             raise ctx.fail(f"atom #{i} must be an object", "atoms")
         loc = ctx.need(entry, "location", (list, int, float), "atom")
@@ -115,7 +131,7 @@ def _parse_measure(obj: dict, ctx: _Ctx) -> Measure:
         density = _parse_density(ctx.need(obj, "density", dict, "measure"),
                                  d, ctx)
     curves = []
-    for i, entry in enumerate(obj.get("curves", [])):
+    for i, entry in enumerate(ctx.get(obj, "curves", [])):
         if not isinstance(entry, dict):
             raise ctx.fail(f"curve #{i} must be an object", "curves")
         pts = ctx.numbers(ctx.need(entry, "points", list, "curve"),
@@ -133,9 +149,9 @@ def _parse_measure(obj: dict, ctx: _Ctx) -> Measure:
 def _parse_bv(obj: dict, ctx: _Ctx) -> BVFunction1D:
     bp = tuple(ctx.numbers(ctx.need(obj, "breakpoints", list, "function"),
                            "breakpoints"))
-    slopes = tuple(ctx.numbers(obj.get("slopes", []), "slopes"))
+    slopes = tuple(ctx.numbers(ctx.get(obj, "slopes", []), "slopes"))
     jumps = []
-    for i, entry in enumerate(obj.get("jumps", [])):
+    for i, entry in enumerate(ctx.get(obj, "jumps", [])):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ctx.fail(f"jump #{i} must be a [location, height] pair",
                            "jumps")
@@ -143,7 +159,7 @@ def _parse_bv(obj: dict, ctx: _Ctx) -> BVFunction1D:
     try:
         return BVFunction1D(
             breakpoints=bp, slopes=slopes, jumps=tuple(jumps),
-            initial_value=ctx.numbers(obj.get("initial_value", 0.0),
+            initial_value=ctx.numbers(ctx.get(obj, "initial_value", 0.0),
                                       "initial_value", 0),
             compact_support=bool(obj.get("compact_support", False)))
     except ValueError as e:
@@ -173,7 +189,7 @@ def _parse_timefield(obj: dict, ctx: _Ctx) -> TimeField:
     center = center if isinstance(center, list) else [center]
     radius = ctx.numbers(ctx.need(ball, "radius", (int, float), "ball"),
                          "radius", 0)
-    horizon = ctx.numbers(obj.get("T", 1.0), "T", 0)
+    horizon = ctx.numbers(ctx.get(obj, "T", 1.0), "T", 0)
     try:
         return TimeField(times=tuple(ctx.numbers(times, "times")),
                          slices=tuple(slices),
@@ -191,15 +207,15 @@ def read_object(path):
         text = p.read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise SpecSchemaError(str(e), path=str(path))
-    ctx = _Ctx(p, text)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise SpecSchemaError(f"invalid JSON: {e.msg}", path=ctx.path,
+        raise SpecSchemaError(f"invalid JSON: {e.msg}", path=str(p),
                               line=e.lineno)
     except (ValueError, RecursionError) as e:
         # an integer past Python's digit limit, or nesting too deep
-        raise SpecSchemaError(f"invalid JSON: {e}", path=ctx.path)
+        raise SpecSchemaError(f"invalid JSON: {e}", path=str(p))
+    ctx = _Ctx(p, text, obj)
     if not isinstance(obj, dict):
         raise ctx.fail("top level must be a JSON object")
     return obj, ctx

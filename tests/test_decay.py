@@ -1,10 +1,14 @@
 """Decay quantity Q(B; delta) and its sweep verdicts."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maxchar import decay
 from maxchar.bv import BVFunction1D, derivative_measure
 from maxchar.decay import (
     DEFAULT_DELTAS,
@@ -201,3 +205,34 @@ class TestLevelIntegralSlice:
         with pytest.raises(ValueError, match="one-dimensional"):
             level_integral_slice(unit_atom([0.0, 0.0], dimension=2),
                                  [0.0, 0.0], 1.0, 1e-3)
+
+
+class TestGradedEdges:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sorted_edges_keep_the_bits_of_unique(self, seed, monkeypatch):
+        # the diff mask drops the exact duplicates that np.unique dropped:
+        # atoms on background edges and ladders clipped at the ends
+        rng = np.random.default_rng(seed)
+        locs = np.concatenate([rng.uniform(-1.2, 1.2, 4),
+                               np.linspace(-1.0, 1.0, 9)[
+                                   rng.choice(9, 3, replace=False)]])
+        mu = Measure(1, atoms=tuple(((float(x),), float(w)) for x, w in
+                                    zip(locs, rng.uniform(0.1, 3.0,
+                                                          len(locs)))))
+        got = decay._graded_edges_1d(-1.0, 1.0, mu, 1e-3, 0.25)
+        monkeypatch.setattr(decay.np, "sort", np.unique)
+        want = decay._graded_edges_1d(-1.0, 1.0, mu, 1e-3, 0.25)
+        assert np.array_equal(got, want)
+
+    def test_decay_run_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, which a decay run
+        # would pay for in time and memory
+        spec = Path(__file__).resolve().parents[1] / "specs" \
+            / "tent_field.json"
+        code = ("import sys\n"
+                "from maxchar.cli import main\n"
+                f"assert main(['decay', '--input', {str(spec)!r}]) == 0\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from maxchar import corpus, decay, maximal
 from maxchar.errors import BudgetError, WindowTooSmallError
 from maxchar.geometry import UNIT_BALL_VOLUME, UniformGrid
+from maxchar.level_sets import distribution_experiment
 from maxchar.maximal import (_RUN_PATH_WIDTH, RadiusGrid, _monotone_runs,
                              _node_window, _oscillation_field_1d,
                              _run_deviations, _span_margin, maximal_field,
@@ -876,6 +877,174 @@ class TestBoxBound:
                 m = mu.ball_masses(points, r, absolute=absolute,
                                    closed=closed)
                 assert np.all(bound >= np.abs(m))
+
+
+# ----------------------------------------------------------------------
+# the two-pass 2D density sweep against the ascending sweep, kept verbatim
+# as the reference: the order of the radii may change, never the bits
+
+
+def _ascending_block_values(mu, free, points, rg, signed, tau):
+    """_block_values before the two-pass 2D sweep: every radius ascending,
+    the box bound alone beside the monotone test."""
+    dist, sums = maximal._sorted_atom_sums(mu, points, signed)
+    # the nearest atom is the first sorted distance
+    flags = (dist[:, :1] < rg.r_min).any(axis=1)
+    if mu._segs.spans:
+        flags |= free.singular_support_distance(points) < rg.r_min
+    d = mu.dimension
+    omega = UNIT_BALL_VOLUME[d]
+    absolute = not signed
+
+    def in_range(r):
+        ok = (r > 0) & (r >= rg.r_min)
+        return ok & (r < tau) if tau is not None else ok & (r <= rg.r_max)
+
+    # the closed ball at each atom distance holds the atoms up to the last
+    # of its tie group
+    last = np.ones(dist.shape, dtype=bool)
+    last[:, :-1] = dist[:, 1:] != dist[:, :-1]
+    ok = last & in_range(dist)
+    mass = sums
+    if free is not None and ok.any():
+        # copy sums after the query, so the copy adds nothing to its peak
+        rest = free.ball_masses(points[np.nonzero(ok)[0]], dist[ok],
+                                absolute=absolute, closed=True)
+        mass = sums.copy()
+        mass[ok] += rest
+    ratio = np.divide(np.abs(mass), omega * dist**d,
+                      out=np.zeros(dist.shape), where=ok)
+    best = ratio.max(axis=1, initial=0.0)
+    if free is None:
+        # an atomic ball mass is constant between atom distances, so the
+        # open ball at r_min is the only other candidate
+        if dist.shape[1]:
+            at_min = np.abs(maximal._atom_mass(dist, sums, rg.r_min))
+            best = np.maximum(at_min / (omega * rg.r_min**d), best)
+        return best, flags
+
+    def open_ratio(rows, r, vol):  # |mu(B(x, r))| / vol, r per row
+        m = free.ball_masses(points[rows], r, absolute=absolute)
+        if dist.shape[1]:
+            m += maximal._atom_mass(dist[rows], sums[rows], r[:, None])
+        return np.abs(m, out=m) / vol
+
+    # sharp density edges (open balls) are event radii too
+    for e in free.density_sharp_edges():
+        r = np.abs(points[:, 0] - e)
+        ok = in_range(r)
+        if np.any(ok):
+            r = r[ok]
+            best[ok] = np.maximum(best[ok], open_ratio(ok, r, omega * r**d))
+
+    # pruned sweep: a ball farther than r from the support box holds no
+    # mass, and no ratio exceeds |mu| / (omega r^d), which falls with r
+    # while best rises, so a node past that bound stays past it
+    gap = maximal._support_gap(mu, points)
+    reach = 1.0 + maximal._PRUNE_SLACK
+    total = mu.total_variation() * reach
+    gap_max = gap.max(initial=0.0)
+    box_bound = None
+    if d == 2 and free.density is not None:
+        box_bound = maximal._box_bound(free, points)
+        slack = maximal._PRUNE_SLACK * mu.total_variation()
+    radii = rg.radii if tau is None else rg.radii[rg.radii < tau]
+    # each radius's live rows, with the radius and its volume, wait here
+    # until about _SWEEP_BATCH rows are queued; a flush queries them in
+    # one call, one radius per row, and raises best radius by radius
+    pending, queued = [], 0
+
+    def flush():
+        parts, r, vol = zip(*pending)
+        sizes = [len(part) for part in parts]
+        ratio = open_ratio(np.concatenate(parts), np.repeat(r, sizes),
+                           np.repeat(vol, sizes))
+        for part, value in zip(parts, np.split(ratio, np.cumsum(sizes[:-1]))):
+            best[part] = np.maximum(best[part], value)
+        pending.clear()
+
+    for r in radii:
+        vol = omega * r**d
+        live = (best < total / vol) & (gap < r * reach)
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            if gap_max < r * reach:
+                break  # every ball reaches the support and no node is live
+            continue
+        if box_bound is not None:
+            # the box bound is not monotone in r: it skips a node at this
+            # radius only, and the break above keeps the monotone test
+            b = box_bound(r, rows)
+            if dist.shape[1]:
+                b += np.abs(maximal._atom_mass(dist[rows], sums[rows], r))
+            rows = rows[best[rows] < (b * reach + slack) / vol]
+            if rows.size == 0:
+                continue
+        pending.append((rows, r, vol))
+        queued += rows.size
+        if queued >= maximal._SWEEP_BATCH:
+            flush()
+            queued = 0
+    if pending:
+        flush()
+    return best, flags
+
+
+def ascending_values_at(mu, points, rg, variant, tau=None):
+    """maximal_values_at, row blocks and all, on the ascending sweep."""
+    with mock.patch.object(maximal, "_block_values",
+                           _ascending_block_values):
+        return maximal_values_at(mu, points, rg, variant, tau=tau)
+
+
+class TestTwoPassSweep:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(density_measures_2d(), st.data())
+    def test_matches_the_ascending_sweep_bit_for_bit(self, mu, data):
+        rg = RadiusGrid.geometric(
+            data.draw(st.floats(min_value=0.005, max_value=0.2)),
+            data.draw(st.floats(min_value=1.0, max_value=6.0)),
+            data.draw(st.integers(min_value=4, max_value=40)))
+        tau = float(rg.radii[data.draw(st.integers(1, rg.count - 1))])
+        box = mu.density[0].cell_box()  # of the zero density too
+        lo, hi = np.asarray(box.lo) - 0.5, np.asarray(box.hi) + 0.5
+        nodes = UniformGrid.cover_cells(lo, hi, max(hi - lo) / 14).points()
+        free = data.draw(st.lists(st.tuples(st.floats(-4.0, 4.0),
+                                            st.floats(-4.0, 4.0)),
+                                  max_size=12))
+        points = np.vstack([nodes,
+                            np.asarray(free, dtype=float).reshape(-1, 2),
+                            mu._apos, touching_points(mu, rg.radii[-1:])])
+        batch = data.draw(st.sampled_from([1, 7, maximal._SWEEP_BATCH]))
+        for variant in ("M", "Mbar", "Mtau"):
+            with mock.patch.object(maximal, "_SWEEP_BATCH", batch):
+                got = maximal_values_at(mu, points, rg, variant, tau=tau)
+                want = ascending_values_at(mu, points, rg, variant, tau=tau)
+            assert np.array_equal(got[0], want[0]), variant
+            assert np.array_equal(got[1], want[1]), variant
+
+    def test_unit_square_queries_fewer_points(self, monkeypatch):
+        # measure-2d's square, unit density on 50 x 50 cells of [0, 1]^2,
+        # on distribution_experiment's grid and radii at h = 0.025
+        square = Measure(2, density=(UniformGrid((0.01, 0.01), 0.02,
+                                                 (50, 50)), np.ones((50, 50))))
+        points = []
+        ball_masses = Measure.ball_masses
+
+        def counted(self, pts, radii, absolute=False, closed=False):
+            points.append(len(pts))
+            return ball_masses(self, pts, radii, absolute, closed)
+
+        monkeypatch.setattr(Measure, "ball_masses", counted)
+        got = distribution_experiment(square, "M", h=0.025).field
+        two_pass = sum(points)
+        points.clear()
+        with mock.patch.object(maximal, "_block_values",
+                               _ascending_block_values):
+            want = distribution_experiment(square, "M", h=0.025).field
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.flags, want.flags)
+        assert two_pass <= 0.65 * sum(points)
 
 
 # ----------------------------------------------------------------------

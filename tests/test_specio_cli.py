@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from maxchar import cli
+from maxchar import cli, specio
 from maxchar.bv import BVFunction1D
 from maxchar.cli import main
 from maxchar.decay import DecayReport, TimeField
@@ -93,6 +93,66 @@ class TestLoaders:
         with pytest.raises(SpecSchemaError) as exc:
             load_measure(p)
         assert str(exc.value).startswith(f"{p}:3: dimension must be 1 or 2")
+
+    @pytest.mark.parametrize("lines,line,message", [
+        # the second atom's location, not the first's
+        (['{', '  "dimension": 1,', '  "atoms": [',
+          '    {"location": [0.0], "weight": 1.0},',
+          '    {"location": ["abc"], "weight": 1.0}', '  ]', '}'],
+         5, "key 'location' must hold numbers"),
+        # the measure's density, not the curve's density key above it
+        (['{', '  "dimension": 2,',
+          '  "curves": [{"points": [[0, 0], [1, 1]], "density": 1.0}],',
+          '  "density": {"origin": [0, 0], "spacing": -0.1,',
+          '              "values": [[1.0]]}', '}'],
+         4, "bad density grid"),
+        # the curve's density, not the measure's density key above it
+        (['{', '  "dimension": 2,',
+          '  "density": {"origin": [0, 0], "spacing": 0.1,',
+          '              "values": [[1.0]]},',
+          '  "curves": [{"points": [[0, 0], [1, 1]], "density": "x"}]',
+          '}'],
+         5, "key 'density' in curve has type str"),
+    ], ids=["second-atom", "density-after-curve", "curve-after-density"])
+    def test_error_names_the_entry_at_fault(self, tmp_path, capsys, lines,
+                                            line, message):
+        p = tmp_path / "entry.json"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecSchemaError) as exc:
+            load_measure(p)
+        assert str(exc.value).startswith(f"{p}:{line}: {message}")
+        assert main(["distcurve", "--input", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {p}:{line}: ")
+
+    def test_error_names_the_slice_at_fault(self, tmp_path):
+        # two 2D density slices; the second's values hold a string
+        p = tmp_path / "tf.json"
+        slice_2d = ('    {{"dimension": 2, "density": {{"origin": [0, 0], '
+                    '"spacing": 0.1, "values": [[{}]]}}}}')
+        p.write_text("\n".join([
+            '{', '  "times": [0.25, 0.75],', '  "slices": [',
+            slice_2d.format("1.0") + ",", slice_2d.format('"a"'), '  ],',
+            '  "ball": {"center": [0.0, 0.0], "radius": 1.0}', '}']) + "\n")
+        with pytest.raises(SpecSchemaError) as exc:
+            load_timefield(p)
+        assert str(exc.value).startswith(
+            f"{p}:5: key 'values' must hold numbers")
+
+    def test_walk_past_the_recursion_limit_names_a_line(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # nesting that the parser takes can still be too deep for the walk
+        # to the key's holder (how deep depends on the stack): the error
+        # names the key's first line then, and prints no traceback
+        def too_deep(node, key):
+            raise RecursionError("maximum recursion depth exceeded")
+            yield
+
+        monkeypatch.setattr(specio, "_holders", too_deep)
+        p = tmp_path / "deep.json"
+        p.write_text('{"x": [[[]]],\n "dimension": "a"}\n')
+        assert main(["distcurve", "--input", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}:2: key 'dimension' in measure has type str\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecSchemaError):
