@@ -9,7 +9,7 @@ log-normalized clipped decay quantity for time-dependent derivative
 fields.  The cli module exposes everything as subcommands.
 """
 
-from .bv import (AnyVectorResult, BVFunction1D, ReversePoincareResult,
+from .bv import (BVFunction1D, ReversePoincareResult,
                  any_vector_penalty_check, derivative_measure,
                  ramp_plateau_counterexample, reverse_poincare_check)
 from .decay import (DEFAULT_DELTAS, DecayReport, TimeField, decay_quantity,
@@ -32,7 +32,7 @@ from .verify import run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnyVectorResult", "BVFunction1D", "Box", "BudgetError", "DECAYS",
+    "BVFunction1D", "Box", "BudgetError", "DECAYS",
     "DEFAULT_DELTAS", "DecayReport", "DistributionCurve", "ExperimentResult",
     "GridFunction", "INCONCLUSIVE", "LambdaGrid", "MaximalField",
     "MaxcharError", "Measure", "PERSISTS", "RadiusGrid", "ResolutionError",

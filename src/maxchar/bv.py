@@ -189,13 +189,6 @@ class BVFunction1D:
         shape, (a, b) = _batch(a, b)
         return _shaped(shape, self._integrals(self._pieces(a, b)))
 
-    def mean_ball(self, x, r):
-        shape, (x, r) = _batch(x, r)
-        if np.any(r <= 0):
-            raise ValueError("r must be positive")
-        return _shaped(shape, self._integrals(self._pieces(x - r, x + r))
-                       / (2.0 * r))
-
     def abs_deviation_integral(self, a, b, m):
         """Exact integral of |f - m| over (a, b), splitting at sign changes."""
         shape, (a, b, m) = _batch(a, b, m)
@@ -203,11 +196,6 @@ class BVFunction1D:
 
     def l1_norm(self, a, b):
         return self.abs_deviation_integral(a, b, 0.0)
-
-    def _jump_slices(self, a, b):
-        """First index and count of the jumps strictly inside each (a, b)."""
-        first = np.searchsorted(self._jloc, a, side="right")
-        return first, np.maximum(np.searchsorted(self._jloc, b) - first, 0)
 
     def _variation(self, a, b, weight) -> np.ndarray:
         """Integral of weight(eta, rows) d|Df| over each (a_i, b_i), with eta
@@ -222,7 +210,9 @@ class BVFunction1D:
         lens = np.maximum(0.0, hi - lo)
         total = np.sum(weight(np.sign(self._sl), slice(None))
                        * np.abs(self._sl) * lens, axis=1)
-        first, count = self._jump_slices(a, b)
+        # first index and count of the jumps strictly inside each (a, b)
+        first = np.searchsorted(self._jloc, a, side="right")
+        count = np.maximum(np.searchsorted(self._jloc, b) - first, 0)
         for n in set(count.tolist()) - {0}:
             rows = np.flatnonzero(count == n)
             jh = self._jh[first[rows, None] + np.arange(n)]
@@ -303,40 +293,18 @@ def reverse_poincare_check(f: BVFunction1D, x, r, nu, c1: float,
     return ReversePoincareResult(*(_shaped(shape, s) for s in sides))
 
 
-class AnyVectorResult(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-    oscillation_term: float
-    penalty_term: float
-    consistency_ok: bool
-
-
 def any_vector_penalty_check(f: BVFunction1D, x, r, v, c1: float,
-                             c2: float) -> AnyVectorResult:
+                             c2: float) -> ReversePoincareResult:
     """Variant replacing the directional penalty by 2 int |eta - v| d|Df|.
 
-    For v != 0 also verifies the pointwise domination
-    2|eta - v| >= 1 - (v/|v|) eta on the derivative's support in the ball.
-    x, r and v broadcast together as in reverse_poincare_check.
+    For v != 0 this penalty dominates the directional one with nu = v/|v|,
+    since 2|eta - v| >= 1 - (v/|v|) eta for eta = +-1.  x, r and v
+    broadcast together as in reverse_poincare_check.
     """
     shape, (x, r, v) = _batch(x, r, v)
     sides = _penalized_bound(f, x, r, c1, c2,
                              lambda a, b: f.any_vector_penalty(a, b, v))
-    R = c2 * r
-    first, count = f._jump_slices(x - R, x + R)
-    rising = np.concatenate([[0], np.cumsum(~np.signbit(f._jh))])
-    n_up = rising[first + count] - rising[first]
-    unit = np.sign(v)  # v / |v| where v != 0
-
-    def dominated(eta, present):
-        return ~present | (2 * np.abs(eta - v) >= 1 - unit * eta - _EPS)
-
-    consistency = (v == 0.0) | (
-        dominated(1.0, np.any(f._sl > 0) | (n_up > 0))
-        & dominated(-1.0, np.any(f._sl < 0) | (n_up < count)))
-    return AnyVectorResult(*(_shaped(shape, s) for s in sides),
-                           _shaped(shape, consistency))
+    return ReversePoincareResult(*(_shaped(shape, s) for s in sides))
 
 
 def ramp_plateau_counterexample(n: int) -> BVFunction1D:

@@ -42,7 +42,6 @@ class LambdaGrid:
         if not np.all(np.diff(lam) > 0):
             raise ValueError("levels must be strictly increasing")
         object.__setattr__(self, "lambdas", tuple(lam))
-        object.__setattr__(self, "_lam", lam)
 
     @classmethod
     def geometric(cls, lam_min: float, lam_max: float,
@@ -218,7 +217,6 @@ class DistributionCurve:
         object.__setattr__(self, "flags", tuple(bool(f) for f in flg))
         object.__setattr__(self, "_lam", lam)
         object.__setattr__(self, "_vol", vol)
-        object.__setattr__(self, "_flg", flg)
 
     @property
     def products(self) -> np.ndarray:

@@ -41,6 +41,23 @@ def _holders(node, key):
             yield from _holders(value, key)
 
 
+def _repeated_key(text):
+    """The first key repeated within one object of a JSON text, and its
+    offset: a walk over the strings and brackets, where a string that a
+    colon follows is a key."""
+    open_keys = [set()]  # the keys of each open object or array
+    for m in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[][{}]', text):
+        if m.group(2):
+            key = json.loads(m.group(1))
+            if key in open_keys[-1]:
+                return key, m.start()
+            open_keys[-1].add(key)
+        elif m.group() in ("{", "["):
+            open_keys.append(set())
+        elif m.group() in ("}", "]"):
+            open_keys.pop()
+
+
 class _Ctx:
     """Carries the raw text and parsed root, so errors name key lines."""
 
@@ -156,12 +173,16 @@ def _parse_bv(obj: dict, ctx: _Ctx) -> BVFunction1D:
             raise ctx.fail(f"jump #{i} must be a [location, height] pair",
                            "jumps")
         jumps.append(tuple(ctx.numbers(entry, "jumps")))
+    compact = ctx.get(obj, "compact_support", False)
+    if not isinstance(compact, bool):
+        raise ctx.fail(f"key 'compact_support' in function has type "
+                       f"{type(compact).__name__}", "compact_support")
     try:
         return BVFunction1D(
             breakpoints=bp, slopes=slopes, jumps=tuple(jumps),
             initial_value=ctx.numbers(ctx.get(obj, "initial_value", 0.0),
                                       "initial_value", 0),
-            compact_support=bool(obj.get("compact_support", False)))
+            compact_support=compact)
     except ValueError as e:
         raise ctx.fail(f"invalid function: {e}", "breakpoints")
 
@@ -200,15 +221,25 @@ def _parse_timefield(obj: dict, ctx: _Ctx) -> TimeField:
 
 
 def read_object(path):
-    """(object, context) of a JSON file whose top level is an object; the
-    context's errors name the file and the line of a key."""
+    """(object, context) of a JSON file whose top level is an object and
+    whose objects repeat no key; the context's errors name the file and
+    the line of a key."""
     p = Path(path)
     try:
         text = p.read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise SpecSchemaError(str(e), path=str(path))
+
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key, at = _repeated_key(text)
+            raise SpecSchemaError(f"duplicate key '{key}'", path=str(p),
+                                  line=text.count("\n", 0, at) + 1)
+        return obj
+
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise SpecSchemaError(f"invalid JSON: {e.msg}", path=str(p),
                               line=e.lineno)

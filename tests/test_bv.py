@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxchar.bv import (
     BVFunction1D,
+    ReversePoincareResult,
     any_vector_penalty_check,
     derivative_measure,
     ramp_plateau_counterexample,
@@ -109,9 +110,10 @@ class TestIntegrals:
     def test_tent_integral_and_mean(self):
         f = tent()
         assert f.integral(-1.0, 1.0) == pytest.approx(1.0)
-        assert f.mean_ball(0.0, 1.0) == pytest.approx(0.5)
+        # the mean over B(x, r) is integral(x - r, x + r) / (2 r)
+        assert f.integral(-1.0, 1.0) / 2.0 == pytest.approx(0.5)
         # inner ball: 2 * int_0^0.5 (1 - x) dx = 0.75, mean over width 1
-        assert f.mean_ball(0.0, 0.5) == pytest.approx(0.75)
+        assert f.integral(-0.5, 0.5) / (2 * 0.5) == pytest.approx(0.75)
 
     def test_abs_deviation_with_sign_crossing(self):
         # int |x| over (-1, 1) forces the crossing split inside one segment
@@ -192,7 +194,6 @@ class TestChecks:
     def test_any_vector_check_consistency(self):
         res = any_vector_penalty_check(tent(), 0.0, 1.0, v=0.3,
                                        c1=0.5, c2=1.0)
-        assert res.consistency_ok
         assert res.holds
         res0 = any_vector_penalty_check(tent(), 0.0, 1.0, v=0.0,
                                         c1=0.5, c2=1.0)
@@ -414,10 +415,11 @@ class TestBatchedCalculusKeepsTheBits:
                      for row in zip(*args[:-1])]
             assert_same_fields([batched(*args[:-1], args[-1][0])],
                                [np.array(mixed)])
-        assert_same_fields([f.mean_ball(a, np.abs(b) + 0.1)],
+        r = np.abs(b) + 0.1
+        assert_same_fields([f.integral(a - r, a + r) / (2.0 * r)],
                            [np.array([_integral_reference(
-                               f, x - r, x + r) / (2.0 * r)
-                               for x, r in zip(a, np.abs(b) + 0.1)])])
+                               f, x - ri, x + ri) / (2.0 * ri)
+                               for x, ri in zip(a, r)])])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(batches(), st.sampled_from([1.0, 1.5, 2.0]),
@@ -427,16 +429,20 @@ class TestBatchedCalculusKeepsTheBits:
         r = np.abs(b - x) + 0.01
         nu = np.where(v < 0, -1.0, 1.0)
         v = np.where(np.arange(v.size) % 3 == 0, 0.0, v)
+        # both checks return the five fields of ReversePoincareResult; the
+        # any-vector reference adds the pointwise domination flag, which
+        # the checks no longer carry
         for batched, reference, p in (
                 (reverse_poincare_check, _reverse_poincare_reference, nu),
                 (any_vector_penalty_check, _any_vector_reference, v)):
-            want = [reference(f, *row, c1, c2) for row in zip(x, r, p)]
+            want = [reference(f, *row, c1, c2)[:5] for row in zip(x, r, p)]
             got = batched(f, x, r, p, c1, c2)
+            assert type(got) is ReversePoincareResult
             assert_same_fields(got, [np.array(w) for w in zip(*want)])
             assert_same_fields(batched(f, x[0], r[0], p[0], c1, c2), want[0])
             mixed = batched(f, x[0], r, p[0], c1, c2)
             assert_same_fields(mixed, [np.array(w) for w in zip(*(
-                reference(f, x[0], ri, p[0], c1, c2) for ri in r))])
+                reference(f, x[0], ri, p[0], c1, c2)[:5] for ri in r))])
 
     @pytest.mark.parametrize("n", [7, 8, 9, 100, 300, 1000])
     def test_many_jumps_in_one_ball(self, n):
@@ -454,13 +460,10 @@ class TestBatchedCalculusKeepsTheBits:
                  np.array([1.0, -1.0, 1.0, -1.0])),
                 (any_vector_penalty_check, _any_vector_reference,
                  np.array([0.0, 0.5, -0.7, 2.0]))):
-            want = [reference(f, *row, 1e-3, 2.0) for row in zip(x, r, p)]
+            want = [reference(f, *row, 1e-3, 2.0)[:5]
+                    for row in zip(x, r, p)]
             assert_same_fields(batched(f, x, r, p, 1e-3, 2.0),
                                [np.array(w) for w in zip(*want)])
-
-    def test_mean_ball_wants_a_positive_radius(self):
-        with pytest.raises(ValueError, match="positive"):
-            tent().mean_ball(np.array([0.0, 1.0]), np.array([0.5, 0.0]))
 
     def test_array_shapes_come_back(self):
         f = tent()

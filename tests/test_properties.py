@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxchar import corpus
 from maxchar.bv import BVFunction1D, derivative_measure
 from maxchar.geometry import UniformGrid
 from maxchar.level_sets import semigroup_check, superlevel_volume
 from maxchar.maximal import RadiusGrid, maximal_field, maximal_values_at
 from maxchar.measure import Measure
 from maxchar.specio import load_bv, load_measure
+from maxchar.verify import _POINCARE_PAIRS
 
 RELAXED = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -139,8 +141,39 @@ class TestBVInvariants:
     def test_mean_value_between_extremes(self, f, x, r):
         xs = np.linspace(x - r, x + r, 257)
         vals = f.value(xs)
-        m = f.mean_ball(x, r)
+        m = f.integral(x - r, x + r) / (2 * r)
         assert vals.min() - 1e-9 <= m <= vals.max() + 1e-9
+
+
+_BV_CORPUS = corpus.bv_corpus()
+
+
+class TestPenaltyIdentities:
+    """On an open interval (a, b), with eta the sign of Df, the rising and
+    falling parts of |Df| are (TV + D) / 2 and (TV - D) / 2, where
+    TV = |Df|((a, b)) and D = Df((a, b)) = f(b-) - f(a+).  The directional
+    penalty P(nu) = int (1 - nu eta) d|Df| and the any-vector penalty
+    A(v) = 2 int |eta - v| d|Df| are fixed by them."""
+
+    @pytest.mark.parametrize("f", [f for _, f in _BV_CORPUS],
+                             ids=[name for name, _ in _BV_CORPUS])
+    @pytest.mark.parametrize("c2", [1.0, 2.0])
+    def test_penalties_split_the_variation(self, f, c2):
+        x, r = np.array(_POINCARE_PAIRS).T
+        a, b = x - c2 * r, x + c2 * r
+        tv = f.tv_open(a, b)
+        # f is right-continuous: f(a+) = f(a), f(b-) = f(b) less a jump at b
+        at_b = np.array([sum(h for loc, h in f.jumps if loc == e) for e in b])
+        d = f.value(b) - at_b - f.value(a)
+        tol = 1e-12 * (1.0 + tv)
+        plus = f.penalty_integral(a, b, 1.0)
+        minus = f.penalty_integral(a, b, -1.0)
+        assert np.all(np.abs(plus + minus - 2.0 * tv) <= tol)
+        assert np.all(np.abs(minus - plus - 2.0 * d) <= tol)
+        for v in (0.0, 0.5, -0.7, 1.0, 2.0, -3.0):
+            want = abs(1.0 - v) * (tv + d) + abs(1.0 + v) * (tv - d)
+            assert np.all(np.abs(f.any_vector_penalty(a, b, v) - want)
+                          <= tol * (1.0 + abs(v)))
 
 
 class TestSpecRoundTrip:

@@ -138,6 +138,59 @@ class TestLoaders:
         assert str(exc.value).startswith(
             f"{p}:5: key 'values' must hold numbers")
 
+    @pytest.mark.parametrize("lines,line,key", [
+        # the repeat in the second atom, not the first atom's line
+        (['{', '  "dimension": 1,',
+          '  "atoms": [{"location": 0.0, "weight": 1.0},',
+          '    {"location": 1.0, "weight": 1.0, "weight": "x"}]', '}'],
+         4, "weight"),
+        # a repeat in the first atom, ahead of the second atom's bad value
+        (['{', '  "dimension": 1,', '  "atoms": [',
+          '    {"location": [0.0], "location": [0.5], "weight": 1.0},',
+          '    {"location": ["abc"], "weight": 1.0}', '  ]', '}'],
+         4, "location"),
+        # the first repeat in the text, though the inner object closes first
+        (['{"dimension": 1,', ' "dimension": 1,',
+          ' "atoms": [{"location": 0.0, "weight": 1.0, "weight": 2.0}]}'],
+         2, "dimension"),
+        # keys are compared as JSON reads them; strings are not keys
+        (['{"dimension": 1, "note": "{\\"atoms\\": [",',
+          ' "atoms": [{"location": 0.0, "weight": 1.0,',
+          '            "w\\u0065ight": 2.0}]}'],
+         3, "weight"),
+    ], ids=["second-atom", "first-atom", "text-order", "escaped-key"])
+    def test_duplicate_key_names_the_repeat(self, tmp_path, capsys, lines,
+                                            line, key):
+        p = tmp_path / "dup.json"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecSchemaError) as exc:
+            load_measure(p)
+        assert str(exc.value) == f"{p}:{line}: duplicate key '{key}'"
+        assert main(["distcurve", "--input", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}:{line}: duplicate key '{key}'\n")
+
+    def test_duplicate_config_key_names_the_repeat(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{\n  "h": 0.01,\n  "h": 0.02\n}\n')
+        assert main(["distcurve", "--input", str(SPECS / "unit_atom.json"),
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: duplicate key 'h'\n")
+
+    @pytest.mark.parametrize("value,kind", [('"false"', "str"), ("0", "int")])
+    def test_compact_support_must_be_a_bool(self, tmp_path, capsys, value,
+                                            kind):
+        p = tmp_path / "ramp.json"
+        p.write_text('{"breakpoints": [0.0, 1.0], "slopes": [1.0],\n'
+                     f' "compact_support": {value}}}\n')
+        message = f"{p}:2: key 'compact_support' in function has type {kind}"
+        with pytest.raises(SpecSchemaError) as exc:
+            load_bv(p)
+        assert str(exc.value) == message
+        assert main(["sobolev", "--input", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_walk_past_the_recursion_limit_names_a_line(self, tmp_path,
                                                         capsys, monkeypatch):
         # nesting that the parser takes can still be too deep for the walk
