@@ -4,7 +4,9 @@ Input specs are JSON: "breakpoints" marks a piecewise-affine function,
 "times" a time-dependent derivative field, "dimension" a measure (and
 tells the two kinds of time-field slice apart).  Schema problems raise
 SpecSchemaError carrying the file path and the line of the offending key,
-so CLI diagnostics stay line-precise.
+so CLI diagnostics stay line-precise: on error paths alone, one walk over
+the text's strings and brackets gives each object json.loads built the
+offsets of its keys and of its brace.
 
 Output artifacts are CSV with fixed 12-significant-digit formatting and
 key=value verdict blocks; identical inputs serialize byte-identically.
@@ -31,64 +33,72 @@ def fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _holders(node, key):
-    """The objects under node that hold key, in the text order of the key."""
-    if isinstance(node, (dict, list)):
-        for k, value in (node.items() if isinstance(node, dict)
-                         else enumerate(node)):
-            if k == key:
-                yield node
-            yield from _holders(value, key)
-
-
-def _repeated_key(text):
-    """The first key repeated within one object of a JSON text, and its
-    offset: a walk over the strings and brackets, where a string that a
-    colon follows is a key."""
-    open_keys = [set()]  # the keys of each open object or array
-    for m in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[][{}]', text):
-        if m.group(2):
-            key = json.loads(m.group(1))
-            if key in open_keys[-1]:
-                return key, m.start()
-            open_keys[-1].add(key)
-        elif m.group() in ("{", "["):
-            open_keys.append(set())
-        elif m.group() in ("}", "]"):
-            open_keys.pop()
-
-
 class _Ctx:
-    """Carries the raw text and parsed root, so errors name key lines."""
+    """Carries the raw text and the objects parsed from it, so errors name
+    key lines."""
 
-    def __init__(self, path, text: str, root):
+    def __init__(self, path, text: str):
         self.path = str(path)
         self.text = text
-        self.root = root
+        self.built = []  # each object json.loads built, in that order
         self.holder = {}  # each key read, and the object it was read from
 
-    def fail(self, message: str, key: str = "") -> SpecSchemaError:
-        # the nth "key": of the text for the nth object holding key
-        found = [m.start() for m in re.finditer(
-            re.escape(f'"{key}"') + r"\s*:", self.text)] if key else []
-        try:
-            nth = next((i for i, obj in enumerate(_holders(self.root, key))
-                        if obj is self.holder.get(key)), 0)
-        except RecursionError:
-            nth = 0
-        at = found[min(nth, len(found) - 1)] if found else 0
+    def build(self, pairs):
+        """json.loads's object_pairs_hook; a repeated key fails."""
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            # fails at the text's first repeat, in text the parser has read
+            self._objects()
+        self.built.append(obj)
+        return obj
+
+    def _objects(self):
+        """(brace offset, {key: offset}) of each object of the text, in the
+        order of the closing braces, which is the order json.loads builds
+        them in: a walk over the strings and brackets, where a string that
+        a colon follows is a key.  The first repeated key fails."""
+        opened, closed = [], []  # the open objects and arrays; the objects
+        for m in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[][{}]',
+                             self.text):
+            if m.group(2):
+                key, keys = json.loads(m.group(1)), opened[-1][1]
+                if key in keys:
+                    raise self.error(f"duplicate key '{key}'", m.start())
+                keys[key] = m.start()
+            elif m.group() in ("{", "["):
+                opened.append((m.start(), {}))
+            elif m.group() == "}":
+                closed.append(opened.pop())
+            elif m.group() == "]":
+                opened.pop()
+        return closed
+
+    def error(self, message: str, at: int) -> SpecSchemaError:
         return SpecSchemaError(message, path=self.path,
                                line=self.text.count("\n", 0, at) + 1)
+
+    def fail(self, message: str, key: str) -> SpecSchemaError:
+        """An error on the line of key in the object it was read from (a
+        config key: the top level), or of that object's brace if key is
+        missing from it."""
+        obj = self.holder.get(key, self.built[-1])  # the root closes last
+        brace, keys = next(found for built, found
+                           in zip(self.built, self._objects())
+                           if built is obj)
+        return self.error(message, keys.get(key, brace))
 
     def get(self, obj: dict, key: str, default=None):
         self.holder[key] = obj
         return obj.get(key, default)
 
-    def need(self, obj: dict, key: str, kinds, where: str):
-        if key not in obj:
-            raise self.fail(f"missing required key '{key}' in {where}", where)
-        val = self.get(obj, key)
-        if isinstance(val, bool) or not isinstance(val, kinds):
+    def need(self, obj: dict, key: str, kinds, where: str, default=None):
+        """obj[key] of one of kinds, a bool only where kinds is bool; a
+        key left out reads as default, and fails where that is None."""
+        val = self.get(obj, key, default)
+        if key not in obj and default is None:
+            raise self.fail(f"missing required key '{key}' in {where}", key)
+        if (isinstance(val, bool) and kinds is not bool
+                or not isinstance(val, kinds)):
             raise self.fail(
                 f"key '{key}' in {where} has type {type(val).__name__}", key)
         return val
@@ -135,7 +145,7 @@ def _parse_measure(obj: dict, ctx: _Ctx) -> Measure:
     if d not in (1, 2):
         raise ctx.fail(f"dimension must be 1 or 2, got {d}", "dimension")
     atoms = []
-    for i, entry in enumerate(ctx.get(obj, "atoms", [])):
+    for i, entry in enumerate(ctx.need(obj, "atoms", list, "measure", [])):
         if not isinstance(entry, dict):
             raise ctx.fail(f"atom #{i} must be an object", "atoms")
         loc = ctx.need(entry, "location", (list, int, float), "atom")
@@ -148,7 +158,7 @@ def _parse_measure(obj: dict, ctx: _Ctx) -> Measure:
         density = _parse_density(ctx.need(obj, "density", dict, "measure"),
                                  d, ctx)
     curves = []
-    for i, entry in enumerate(ctx.get(obj, "curves", [])):
+    for i, entry in enumerate(ctx.need(obj, "curves", list, "measure", [])):
         if not isinstance(entry, dict):
             raise ctx.fail(f"curve #{i} must be an object", "curves")
         pts = ctx.numbers(ctx.need(entry, "points", list, "curve"),
@@ -168,15 +178,12 @@ def _parse_bv(obj: dict, ctx: _Ctx) -> BVFunction1D:
                            "breakpoints"))
     slopes = tuple(ctx.numbers(ctx.get(obj, "slopes", []), "slopes"))
     jumps = []
-    for i, entry in enumerate(ctx.get(obj, "jumps", [])):
+    for i, entry in enumerate(ctx.need(obj, "jumps", list, "function", [])):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ctx.fail(f"jump #{i} must be a [location, height] pair",
                            "jumps")
         jumps.append(tuple(ctx.numbers(entry, "jumps")))
-    compact = ctx.get(obj, "compact_support", False)
-    if not isinstance(compact, bool):
-        raise ctx.fail(f"key 'compact_support' in function has type "
-                       f"{type(compact).__name__}", "compact_support")
+    compact = ctx.need(obj, "compact_support", bool, "function", False)
     try:
         return BVFunction1D(
             breakpoints=bp, slopes=slopes, jumps=tuple(jumps),
@@ -230,25 +237,17 @@ def read_object(path):
     except (OSError, UnicodeDecodeError) as e:
         raise SpecSchemaError(str(e), path=str(path))
 
-    def unique(pairs):
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            key, at = _repeated_key(text)
-            raise SpecSchemaError(f"duplicate key '{key}'", path=str(p),
-                                  line=text.count("\n", 0, at) + 1)
-        return obj
-
+    ctx = _Ctx(p, text)
     try:
-        obj = json.loads(text, object_pairs_hook=unique)
+        obj = json.loads(text, object_pairs_hook=ctx.build)
     except json.JSONDecodeError as e:
         raise SpecSchemaError(f"invalid JSON: {e.msg}", path=str(p),
                               line=e.lineno)
     except (ValueError, RecursionError) as e:
         # an integer past Python's digit limit, or nesting too deep
         raise SpecSchemaError(f"invalid JSON: {e}", path=str(p))
-    ctx = _Ctx(p, text, obj)
     if not isinstance(obj, dict):
-        raise ctx.fail("top level must be a JSON object")
+        raise ctx.error("top level must be a JSON object", 0)
     return obj, ctx
 
 

@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maxchar import cli, specio
+from maxchar import cli
 from maxchar.bv import BVFunction1D
 from maxchar.cli import main
 from maxchar.decay import DecayReport, TimeField
@@ -42,6 +43,61 @@ def _experiment_cases():
 
 
 EXPERIMENT_CASES = _experiment_cases()
+
+
+_BAD = object()  # the one bad value of a drawn spec
+
+
+@st.composite
+def _spec_with_one_bad_value(draw):
+    """A measure spec's text with random whitespace, \\uXXXX escapes of key
+    characters and key order; one value, a top-level dimension or an
+    atom's weight, is a string.  Also the line of that value's key and
+    the error it raises."""
+    atoms = draw(st.integers(0, 3))
+    bad = draw(st.integers(0, atoms))  # atoms: the dimension
+    spec = {"dimension": _BAD if bad == atoms else 1,
+            "note": draw(st.sampled_from(['weight', '{"weight": [', ''])),
+            "atoms": [{"location": [0.5 * i],
+                       "weight": _BAD if i == bad else 1.0}
+                      for i in range(atoms)]}
+    out, lines = [], []
+
+    def space():
+        out.append(draw(st.text(" \t\n", max_size=3)))
+
+    def emit(value):
+        if isinstance(value, dict):
+            out.append("{")
+            for i, key in enumerate(draw(st.permutations(list(value)))):
+                out.append("," * bool(i))
+                space()
+                if value[key] is _BAD:
+                    lines.append("".join(out).count("\n") + 1)
+                out.append('"' + "".join(
+                    f"\\u{ord(c):04x}" if draw(st.booleans()) else c
+                    for c in key) + '"')
+                space()
+                out.append(":")
+                space()
+                emit("x" if value[key] is _BAD else value[key])
+                space()
+            out.append("}")
+        elif isinstance(value, list):
+            out.append("[")
+            for i, item in enumerate(value):
+                out.append("," * bool(i))
+                space()
+                emit(item)
+            space()
+            out.append("]")
+        else:
+            out.append(json.dumps(value))
+
+    emit(spec)
+    message = ("key 'dimension' in measure has type str" if bad == atoms
+               else "key 'weight' in atom has type str")
+    return "".join(out), lines[0], message
 
 
 class TestLoaders:
@@ -113,7 +169,16 @@ class TestLoaders:
           '  "curves": [{"points": [[0, 0], [1, 1]], "density": "x"}]',
           '}'],
          5, "key 'density' in curve has type str"),
-    ], ids=["second-atom", "density-after-curve", "curve-after-density"])
+        # a key written with a JSON escape is the key JSON reads
+        (['{', '  "note": 1,', '  "dim\\u0065nsion": "a"', '}'],
+         3, "key 'dimension' in measure has type str"),
+        # a missing key: the brace of the object that lacks it
+        (['{', '  "dimension": 1,', '  "atoms": [',
+          '    {"location": 0.0, "weight": 1.0},', '    {"weight": 1.0}',
+          '  ]', '}'],
+         5, "missing required key 'location' in atom"),
+    ], ids=["second-atom", "density-after-curve", "curve-after-density",
+            "escaped-key", "missing-key"])
     def test_error_names_the_entry_at_fault(self, tmp_path, capsys, lines,
                                             line, message):
         p = tmp_path / "entry.json"
@@ -158,7 +223,10 @@ class TestLoaders:
           ' "atoms": [{"location": 0.0, "weight": 1.0,',
           '            "w\\u0065ight": 2.0}]}'],
          3, "weight"),
-    ], ids=["second-atom", "first-atom", "text-order", "escaped-key"])
+        # seen before the parser reaches the stray brace after it
+        (['{"dimension": 1,', ' "dimension": 1}}'], 2, "dimension"),
+    ], ids=["second-atom", "first-atom", "text-order", "escaped-key",
+            "trailing-junk"])
     def test_duplicate_key_names_the_repeat(self, tmp_path, capsys, lines,
                                             line, key):
         p = tmp_path / "dup.json"
@@ -192,20 +260,50 @@ class TestLoaders:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_walk_past_the_recursion_limit_names_a_line(self, tmp_path,
-                                                        capsys, monkeypatch):
-        # nesting that the parser takes can still be too deep for the walk
-        # to the key's holder (how deep depends on the stack): the error
-        # names the key's first line then, and prints no traceback
-        def too_deep(node, key):
-            raise RecursionError("maximum recursion depth exceeded")
-            yield
-
-        monkeypatch.setattr(specio, "_holders", too_deep)
+                                                        capsys):
+        # nesting deeper than the interpreter's recursion limit allows a
+        # recursive walk: the key's line is still found, with no traceback
         p = tmp_path / "deep.json"
-        p.write_text('{"x": [[[]]],\n "dimension": "a"}\n')
+        p.write_text('{"x": ' + "[" * 900 + "]" * 900
+                     + ',\n "dimension": "a"}\n')
         assert main(["distcurve", "--input", str(p)]) == 1
         assert capsys.readouterr().err == (
             f"error: {p}:2: key 'dimension' in measure has type str\n")
+
+    def test_escaped_config_key_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{\n  "expect": "persists",\n  "\\u0068": "x"\n}\n')
+        assert main(["distcurve", "--input", str(SPECS / "unit_atom.json"),
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: config key 'h' must be a number\n")
+
+    @pytest.mark.parametrize("value,kind", [
+        ("null", "NoneType"), ("true", "bool"), ("5", "int"), ("{}", "dict"),
+        ('"ab"', "str")])
+    @pytest.mark.parametrize("command,head,key,where", [
+        ("distcurve", '"dimension": 1', "atoms", "measure"),
+        ("distcurve", '"dimension": 2', "curves", "measure"),
+        ("sobolev", '"breakpoints": [0.0, 1.0], "slopes": [1.0]', "jumps",
+         "function"),
+    ], ids=["atoms", "curves", "jumps"])
+    def test_optional_lists_must_be_lists(self, tmp_path, capsys, command,
+                                          head, key, where, value, kind):
+        p = tmp_path / "spec.json"
+        p.write_text(f'{{\n  {head},\n  "{key}": {value}\n}}\n')
+        assert main([command, "--input", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}:3: key '{key}' in {where} has type {kind}\n")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_error_line_is_the_bad_keys_line(self, tmp_path_factory, data):
+        text, line, message = data.draw(_spec_with_one_bad_value())
+        p = tmp_path_factory.getbasetemp() / "one_bad_value.json"
+        p.write_text(text)
+        with pytest.raises(SpecSchemaError) as exc:
+            load_measure(p)
+        assert str(exc.value) == f"{p}:{line}: {message}"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecSchemaError):
