@@ -108,7 +108,7 @@ def _graded_edges_1d(a: float, b: float, mu: Measure, delta: float,
     """Cell edges on [a, b]: uniform background plus geometric ladders that
     refine toward each atom, down to a fraction of the clipping radius
     mass*delta/2 where min(1/delta, M) saturates."""
-    n_bg = max(8, int(round((b - a) / h_bg)))
+    n_bg = max(8, UniformGrid.cover_cells([a], [b], h_bg).extents[0])
     edges = [np.linspace(a, b, n_bg + 1)]
     span = _REFINE_SPAN_CELLS * (b - a) / n_bg
     ratio = 10.0 ** (1.0 / _LADDER_PER_DECADE)

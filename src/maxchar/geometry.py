@@ -7,10 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetError, ResolutionError
+
 # Volume of the unit ball, hard-coded for the two supported dimensions.
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
 
 SUPPORTED_DIMENSIONS = (1, 2)
+
+# the most nodes UniformGrid.cover_cells builds: 32 times the largest grid
+# of the tests, specs, verify and benchmark workloads (65,536 nodes)
+GRID_NODE_BUDGET = 1 << 21
 
 
 def ball_volume(dimension: int, r: float) -> float:
@@ -124,10 +130,27 @@ class UniformGrid:
 
     @classmethod
     def cover_cells(cls, lo, hi, spacing: float) -> "UniformGrid":
-        """Cell-centered grid covering [lo, hi]: first node at lo + h/2."""
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        extents = tuple(max(1, int(round((b - a) / spacing))) for a, b in zip(lo, hi))
+        """Cell-centered grid covering [lo, hi]: first node at lo + h/2.
+
+        Refused before anything is built: with a BudgetError when the node
+        count, found from the spans (inf past the float range), passes
+        GRID_NODE_BUDGET, and with a ResolutionError when floats near the
+        box are more than h / 1024 apart, so that node positions could not
+        resolve h."""
+        lo, hi = ([float(c) for c in np.ravel(v)] for v in (lo, hi))
+        extents = [max(1, int(round(s))) if math.isfinite(s) else math.inf
+                   for s in ((b - a) / spacing for a, b in zip(lo, hi))]
+        box = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
+        nodes = math.prod(map(float, extents))
+        if nodes > GRID_NODE_BUDGET:
+            raise BudgetError(f"evaluation window {box} at h={spacing:g} "
+                              f"holds about {nodes:.3g} nodes, over "
+                              f"{GRID_NODE_BUDGET}")
+        gap = math.ulp(max(abs(c) for c in (*lo, *hi)))
+        if gap > spacing * 2.0 ** -10:
+            raise ResolutionError(f"evaluation window {box} cannot resolve "
+                                  f"h={spacing:g}: floats there are "
+                                  f"{gap:.3g} apart")
         origin = tuple(a + 0.5 * spacing for a in lo)
         return cls(origin, spacing, extents)
 

@@ -329,37 +329,7 @@ def evaluation_window(mu: Measure, lam_min: float) -> Box:
 def evaluation_grid(mu: Measure, lam_min: float,
                     spacing: float) -> UniformGrid:
     window = evaluation_window(mu, lam_min)
-    return _window_grid(window.lo, window.hi, spacing)
-
-
-# the most nodes an evaluation grid may hold: 32 times the largest grid of
-# the tests, specs, verify and benchmark workloads (65,536 nodes)
-_GRID_NODE_BUDGET = 1 << 21
-
-
-def _window_nodes(lo, hi, spacing: float) -> float:
-    """Node count of UniformGrid.cover_cells(lo, hi, spacing), found
-    without building the grid (inf past the float range)."""
-    spans = ((b - a) / spacing for a, b in zip(lo, hi))
-    return math.prod(float(max(1, round(s))) if math.isfinite(s)
-                     else math.inf for s in spans)
-
-
-def _window_grid(lo, hi, spacing: float) -> UniformGrid:
-    """The evaluation grid covering [lo, hi] at the spacing, refused when it
-    would pass the node budget or when floats near the window are more than
-    h / 1024 apart, so that node positions could not resolve h."""
-    box = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
-    nodes = _window_nodes(lo, hi, spacing)
-    if nodes > _GRID_NODE_BUDGET:
-        raise BudgetError(f"evaluation window {box} at h={spacing:g} holds "
-                          f"about {nodes:.3g} nodes, over {_GRID_NODE_BUDGET}")
-    gap = math.ulp(max(abs(c) for c in (*lo, *hi)))
-    if gap > spacing * 2.0 ** -10:
-        raise ResolutionError(f"evaluation window {box} cannot resolve "
-                              f"h={spacing:g}: floats there are {gap:.3g} "
-                              "apart")
-    return UniformGrid.cover_cells(lo, hi, spacing)
+    return UniformGrid.cover_cells(window.lo, window.hi, spacing)
 
 
 def _level_floor(lam_max: float, decades: float) -> float:
@@ -455,7 +425,7 @@ def sobolev_experiment(f, h: float = 1e-3, radii_per_decade: int = 48,
     if tail > 1e-12:
         m_right = 1.05 * max(base, math.sqrt(l1 / lam_min),
                              tv / (4.0 * lam_min))
-    grid = _window_grid([lo - m_left], [hi + m_right], h)
+    grid = UniformGrid.cover_cells([lo - m_left], [hi + m_right], h)
     gf = GridFunction(grid, f.value(grid.axis(0)) - shift)
     rg = RadiusGrid.geometric(r_min, 1.2 * grid.cell_box().diameter(),
                               radii_per_decade)

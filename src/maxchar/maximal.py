@@ -269,19 +269,22 @@ def _block_values(mu: Measure, free: Optional[Measure], points: np.ndarray,
             best = np.maximum(at_min / (omega * rg.r_min**d), best)
         return best, flags
 
-    def open_mass(rows, r):  # |mu(B(x, r))|, r per row
+    def raise_values(rows, r, vol):
+        # |mu(B(x, r))| per (row, r) pair, rows may repeat; raises best at
+        # each row by its masses over vol and returns them
         m = free.ball_masses(points[rows], r, absolute=absolute)
         if dist.shape[1]:
             m += _atom_mass(dist[rows], sums[rows], r[:, None])
-        return np.abs(m, out=m)
+        np.maximum.at(best, rows, np.abs(m, out=m) / vol)
+        return m
 
-    # sharp density edges (open balls) are event radii too
+    # sharp density edges (open balls) are event radii too; one query per
+    # edge, as one over all edges would hold nodes x edges pairs at once
     for e in free.density_sharp_edges():
         r = np.abs(points[:, 0] - e)
-        ok = in_range(r)
-        if np.any(ok):
-            r = r[ok]
-            best[ok] = np.maximum(best[ok], open_mass(ok, r) / (omega * r**d))
+        rows = np.flatnonzero(in_range(r))
+        if rows.size:
+            raise_values(rows, r[rows], omega * r[rows]**d)
 
     # pruned sweep: a ball farther than r from the support box holds no
     # mass, and no ratio exceeds |mu| / (omega r^d)
@@ -301,15 +304,10 @@ def _block_values(mu: Measure, free: Optional[Measure], points: np.ndarray,
         pending, queued = [], 0
 
         def flush():
-            parts, r, vol = zip(*pending)
-            sizes = [len(part) for part in parts]
-            mass = open_mass(np.concatenate(parts), np.repeat(r, sizes))
-            ratio, cuts = mass / np.repeat(vol, sizes), np.cumsum(sizes[:-1])
-            for part, value in zip(parts, np.split(ratio, cuts)):
-                best[part] = np.maximum(best[part], value)
-            for part, m in zip(parts, np.split(mass, cuts)
-                               if above is not None and absolute else ()):
-                above[part] = np.minimum(above[part], m)
+            rows, r, vol = map(np.concatenate, zip(*pending))
+            mass = raise_values(rows, r, vol)
+            if above is not None and absolute:
+                np.minimum.at(above, rows, mass)
             pending.clear()
 
         for r in radii:
@@ -330,7 +328,10 @@ def _block_values(mu: Measure, free: Optional[Measure], points: np.ndarray,
                 rows = rows[best[rows] < (b * reach + slack) / vol]
                 if rows.size == 0:
                     continue
-            pending.append((rows, r, vol))
+            # the queued vol is the scalar power: r**d of an array of the
+            # radius need not round alike
+            pending.append((rows, np.full(rows.size, r),
+                            np.full(rows.size, vol)))
             queued += rows.size
             if queued >= _SWEEP_BATCH:
                 flush()

@@ -33,6 +33,11 @@ def fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+# the JSON word for each type json.loads builds, for schema errors
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number",
+               float: "number", str: "string", list: "array", dict: "object"}
+
+
 class _Ctx:
     """Carries the raw text and the objects parsed from it, so errors name
     key lines."""
@@ -99,8 +104,8 @@ class _Ctx:
             raise self.fail(f"missing required key '{key}' in {where}", key)
         if (isinstance(val, bool) and kinds is not bool
                 or not isinstance(val, kinds)):
-            raise self.fail(
-                f"key '{key}' in {where} has type {type(val).__name__}", key)
+            raise self.fail(f"key '{key}' in {where} has type "
+                            f"{_JSON_TYPES[type(val)]}", key)
         return val
 
     def numbers(self, val, key: str, depth: int = 1):
@@ -110,7 +115,7 @@ class _Ctx:
         if depth:
             if not isinstance(val, list):
                 raise self.fail(f"key '{key}' must be a list, got "
-                                f"{type(val).__name__}", key)
+                                f"{_JSON_TYPES[type(val)]}", key)
             items = [self.numbers(v, key, depth - 1) for v in val]
             if depth > 1 and len({len(v) for v in items}) > 1:
                 raise self.fail(f"key '{key}' has rows of unequal length",
@@ -118,7 +123,7 @@ class _Ctx:
             return items
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise self.fail(f"key '{key}' must hold numbers, got "
-                            f"{type(val).__name__}", key)
+                            f"{_JSON_TYPES[type(val)]}", key)
         try:
             return float(val)
         except OverflowError:

@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from maxchar.geometry import (Box, UniformGrid, as_point, ball_volume,
-                              point_segment_distance, segment_ball_chords_at)
+from maxchar import geometry
+from maxchar.errors import BudgetError, ResolutionError
+from maxchar.geometry import (GRID_NODE_BUDGET, Box, UniformGrid, as_point,
+                              ball_volume, point_segment_distance,
+                              segment_ball_chords_at)
 
 
 def test_ball_volume_closed_forms():
@@ -68,6 +72,62 @@ class TestUniformGrid:
             UniformGrid((0.0,), 1.0, (0,))
         with pytest.raises(ValueError):
             UniformGrid((0.0, 0.0), 1.0, (4,))
+
+
+def _never_built(monkeypatch):
+    def built(self):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(UniformGrid, "__post_init__", built)
+
+
+class TestCoverCellsGuard:
+    @pytest.mark.parametrize("lo, hi, h", [
+        ([-5.25], [5.25], 1e-3),
+        ([0.0], [0.0004], 1e-3),
+        ([-1.3, 0.2], [2.7, 0.2001], 0.025),
+        ([-0.51, -0.49], [1.49, 1.51], 0.025),
+    ])
+    def test_counts_nodes_as_it_builds(self, monkeypatch, lo, hi, h):
+        # the count the guard reads is the built grid's: a budget one node
+        # smaller refuses the same spans
+        nodes = UniformGrid.cover_cells(lo, hi, h).node_count
+        monkeypatch.setattr(geometry, "GRID_NODE_BUDGET", nodes - 1)
+        with pytest.raises(BudgetError, match=re.escape(
+                f"about {nodes:.3g} nodes, over {nodes - 1}")):
+            UniformGrid.cover_cells(lo, hi, h)
+
+    def test_budget_edge(self):
+        # a span of exactly GRID_NODE_BUDGET nodes builds; one more is refused
+        edge = float(GRID_NODE_BUDGET)
+        assert UniformGrid.cover_cells([0.0], [edge], 1.0).extents == \
+            (GRID_NODE_BUDGET,)
+        with pytest.raises(BudgetError, match=r"about 2\.1e\+06 nodes, "
+                                              r"over 2097152$"):
+            UniformGrid.cover_cells([0.0], [edge + 1.0], 1.0)
+
+    def test_past_the_float_range(self, monkeypatch):
+        _never_built(monkeypatch)
+        for lo, hi, nodes in [([-1e300], [1e300], "2e+303"),
+                              ([-1e300, -1e300], [1e300, 1e300], "inf"),
+                              ([-math.inf], [math.inf], "inf")]:
+            with pytest.raises(BudgetError,
+                               match=re.escape(f"about {nodes} nodes")):
+                UniformGrid.cover_cells(lo, hi, 1e-3)
+
+    def test_refuses_a_window_over_the_budget(self, monkeypatch):
+        _never_built(monkeypatch)
+        with pytest.raises(BudgetError, match=r"^evaluation window "
+                           r"\[-525000, 525000\] at h=0\.001 holds about "
+                           r"1\.05e\+09 nodes, over 2097152$"):
+            UniformGrid.cover_cells([-525000.0], [525000.0], 1e-3)
+
+    def test_refuses_spans_floats_cannot_resolve(self, monkeypatch):
+        _never_built(monkeypatch)
+        with pytest.raises(ResolutionError, match=r"^evaluation window "
+                           r"\[1e\+15, 1e\+15\] cannot resolve h=0\.001: "
+                           r"floats there are 0\.125 apart$"):
+            UniformGrid.cover_cells([1e15], [1e15 + 1.0], 1e-3)
 
 
 def chord(a, b, center, r):

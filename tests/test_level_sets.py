@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxchar import level_sets
 from maxchar.bv import BVFunction1D
-from maxchar.errors import BudgetError, TruncationError
+from maxchar.errors import TruncationError
 from maxchar.geometry import Box, UniformGrid
 from maxchar.level_sets import (
     DECAYS,
@@ -385,32 +385,6 @@ class TestEvaluationWindow:
 
 
 class TestGridBudget:
-    @pytest.mark.parametrize("lo, hi, h", [
-        ([-5.25], [5.25], 1e-3),
-        ([0.0], [0.0004], 1e-3),
-        ([-1.3, 0.2], [2.7, 0.2001], 0.025),
-        ([-0.51, -0.49], [1.49, 1.51], 0.025),
-    ])
-    def test_window_nodes_counts_cover_cells(self, lo, hi, h):
-        grid = UniformGrid.cover_cells(lo, hi, h)
-        assert level_sets._window_nodes(lo, hi, h) == \
-            np.prod(grid.extents)
-
-    def test_window_nodes_past_the_float_range(self):
-        nodes = level_sets._window_nodes
-        assert nodes([-1e300], [1e300], 1e-3) == 2e303
-        assert nodes([-1e300, -1e300], [1e300, 1e300], 1e-3) == math.inf
-        assert nodes([-math.inf], [math.inf], 1e-3) == math.inf
-
-    def test_refuses_a_window_over_the_budget(self, monkeypatch):
-        def built(*args):
-            raise AssertionError("grid built")
-
-        monkeypatch.setattr(UniformGrid, "cover_cells", built)
-        with pytest.raises(BudgetError, match=r"\[-525000, 525000\] at h=0"
-                                              r"\.001 holds about 1\.05e\+09"):
-            level_sets._window_grid([-525000.0], [525000.0], 1e-3)
-
     def test_level_floor(self):
         floor = level_sets._level_floor
         tiny = math.ulp(0.0)

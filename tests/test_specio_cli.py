@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxchar import cli
+from maxchar import cli, decay
 from maxchar.bv import BVFunction1D
 from maxchar.cli import main
 from maxchar.decay import DecayReport, TimeField
@@ -95,8 +95,8 @@ def _spec_with_one_bad_value(draw):
             out.append(json.dumps(value))
 
     emit(spec)
-    message = ("key 'dimension' in measure has type str" if bad == atoms
-               else "key 'weight' in atom has type str")
+    message = ("key 'dimension' in measure has type string" if bad == atoms
+               else "key 'weight' in atom has type string")
     return "".join(out), lines[0], message
 
 
@@ -168,10 +168,10 @@ class TestLoaders:
           '              "values": [[1.0]]},',
           '  "curves": [{"points": [[0, 0], [1, 1]], "density": "x"}]',
           '}'],
-         5, "key 'density' in curve has type str"),
+         5, "key 'density' in curve has type string"),
         # a key written with a JSON escape is the key JSON reads
         (['{', '  "note": 1,', '  "dim\\u0065nsion": "a"', '}'],
-         3, "key 'dimension' in measure has type str"),
+         3, "key 'dimension' in measure has type string"),
         # a missing key: the brace of the object that lacks it
         (['{', '  "dimension": 1,', '  "atoms": [',
           '    {"location": 0.0, "weight": 1.0},', '    {"weight": 1.0}',
@@ -246,7 +246,7 @@ class TestLoaders:
         assert capsys.readouterr().err == (
             f"error: {cfg}:3: duplicate key 'h'\n")
 
-    @pytest.mark.parametrize("value,kind", [('"false"', "str"), ("0", "int")])
+    @pytest.mark.parametrize("value,kind", [('"false"', "string"), ("0", "number")])
     def test_compact_support_must_be_a_bool(self, tmp_path, capsys, value,
                                             kind):
         p = tmp_path / "ramp.json"
@@ -268,7 +268,7 @@ class TestLoaders:
                      + ',\n "dimension": "a"}\n')
         assert main(["distcurve", "--input", str(p)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {p}:2: key 'dimension' in measure has type str\n")
+            f"error: {p}:2: key 'dimension' in measure has type string\n")
 
     def test_escaped_config_key_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -279,8 +279,8 @@ class TestLoaders:
             f"error: {cfg}:3: config key 'h' must be a number\n")
 
     @pytest.mark.parametrize("value,kind", [
-        ("null", "NoneType"), ("true", "bool"), ("5", "int"), ("{}", "dict"),
-        ('"ab"', "str")])
+        ("null", "null"), ("true", "boolean"), ("5", "number"),
+        ("{}", "object"), ('"ab"', "string")])
     @pytest.mark.parametrize("command,head,key,where", [
         ("distcurve", '"dimension": 1', "atoms", "measure"),
         ("distcurve", '"dimension": 2', "curves", "measure"),
@@ -409,10 +409,10 @@ class TestGridBudgetCli:
     def test_lambda_decades_past_the_budget(self, monkeypatch, capsys,
                                             command, spec, decades, window):
         # the grid is never built: its construction fails the test
-        def built(*args):
+        def built(self):
             raise AssertionError("grid built")
 
-        monkeypatch.setattr(UniformGrid, "cover_cells", built)
+        monkeypatch.setattr(UniformGrid, "__post_init__", built)
         code = run_cli(command, "--input", str(SPECS / f"{spec}.json"),
                        "--lambda-decades", decades)
         assert code == 1
@@ -435,6 +435,41 @@ class TestGridBudgetCli:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith(f"error: h={float(h):g} puts the top level")
+
+
+    def test_decay_background_past_the_budget(self, monkeypatch, capsys):
+        # the 1D background of B(0.5, 0.5) at h = 2e-7 would hold 5e6 cells
+        def swept(*args):
+            raise AssertionError("mesh built")
+
+        monkeypatch.setattr(decay, "maximal_values_at", swept)
+        code = run_cli("decay", "--input", str(SPECS / "sign_field.json"),
+                       "--h", "2e-7")
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: evaluation window [0, 1] at h=2e-07 holds "
+                       "about 5e+06 nodes, over 2097152\n")
+
+    def test_decay_2d_mesh_past_the_budget(self, tmp_path, monkeypatch,
+                                           capsys):
+        # a unit density on [-0.5, 0.5]^2 in B(0, 0.3): 6,000^2 nodes
+        def built(self):
+            raise AssertionError("mesh built")
+
+        spec = tmp_path / "square_field.json"
+        spec.write_text(json.dumps({
+            "times": [0.5], "ball": {"center": [0.0, 0.0], "radius": 0.3},
+            "slices": [{"dimension": 2, "density": {
+                "origin": [-0.45, -0.45], "spacing": 0.1,
+                "values": [[1.0] * 10] * 10}}]}))
+        monkeypatch.setattr(UniformGrid, "points", built)
+        assert run_cli("decay", "--input", str(spec), "--h", "1e-4") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: evaluation window [-0.3, 0.3] x [-0.3, 0.3] "
+                       "at h=0.0001 holds about 3.6e+07 nodes, over "
+                       "2097152\n")
 
 
 class _GridBuilt(Exception):
@@ -484,7 +519,10 @@ class TestWindowResolution:
         """The golden runs' specs and every perfbench distcurve and sobolev
         input of seeds 0-3 get past the resolution rule to the grid.  The
         tests and verify pass through the rule in their own tests."""
+        cover_cells = UniformGrid.cover_cells
+
         def built(*args):
+            cover_cells(*args)  # the guard refuses or the grid is built
             raise _GridBuilt
 
         monkeypatch.setattr(UniformGrid, "cover_cells", built)
@@ -679,20 +717,20 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("command,spec,message", [
         ("distcurve", '"dimension": 1,\n"atoms": [\n'
          '  {"location": [[0.5]], "weight": 1}]',
-         "4: key 'location' must hold numbers, got list"),
+         "4: key 'location' must hold numbers, got array"),
         ("distcurve", '"dimension": 1,\n"atoms": [\n'
          '  {"location": ["abc"], "weight": 1}]',
-         "4: key 'location' must hold numbers, got str"),
+         "4: key 'location' must hold numbers, got string"),
         ("decay", '"times": [0.5],\n"slices": [{"dimension": 1}],\n'
          '"ball": {"center": [[0.5]], "radius": 0.5}',
-         "4: key 'center' must hold numbers, got list"),
+         "4: key 'center' must hold numbers, got array"),
         ("sobolev", '"breakpoints": [],\n"jumps": [[[0.5], 1.0]]',
-         "3: key 'jumps' must hold numbers, got list"),
+         "3: key 'jumps' must hold numbers, got array"),
         ("sobolev", '"breakpoints": [0, 1],\n"slopes": [[1]]',
-         "3: key 'slopes' must hold numbers, got list"),
+         "3: key 'slopes' must hold numbers, got array"),
         ("distcurve", '"dimension": 1,\n"atoms": [\n'
          '  {"location": 0.5, "weight": true}]',
-         "4: key 'weight' in atom has type bool"),
+         "4: key 'weight' in atom has type boolean"),
     ], ids=["nested-location", "string-location", "nested-center",
             "nested-jump", "nested-slope", "bool-weight"])
     def test_non_numbers_fail_with_one_line(self, tmp_path, capsys, command,
