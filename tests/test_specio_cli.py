@@ -246,7 +246,10 @@ class TestLoaders:
         assert capsys.readouterr().err == (
             f"error: {cfg}:3: duplicate key 'h'\n")
 
-    @pytest.mark.parametrize("value,kind", [('"false"', "string"), ("0", "number")])
+    # each case is named by the value and the Python type it parses to
+    @pytest.mark.parametrize("value,kind", [
+        pytest.param('"false"', "string", id='"false"-str'),
+        pytest.param("0", "number", id="0-int")])
     def test_compact_support_must_be_a_bool(self, tmp_path, capsys, value,
                                             kind):
         p = tmp_path / "ramp.json"
@@ -278,9 +281,13 @@ class TestLoaders:
         assert capsys.readouterr().err == (
             f"error: {cfg}:3: config key 'h' must be a number\n")
 
+    # each case is named by the value and the Python type it parses to
     @pytest.mark.parametrize("value,kind", [
-        ("null", "null"), ("true", "boolean"), ("5", "number"),
-        ("{}", "object"), ('"ab"', "string")])
+        pytest.param("null", "null", id="null-NoneType"),
+        pytest.param("true", "boolean", id="true-bool"),
+        pytest.param("5", "number", id="5-int"),
+        pytest.param("{}", "object", id="{}-dict"),
+        pytest.param('"ab"', "string", id='"ab"-str')])
     @pytest.mark.parametrize("command,head,key,where", [
         ("distcurve", '"dimension": 1', "atoms", "measure"),
         ("distcurve", '"dimension": 2', "curves", "measure"),
