@@ -343,7 +343,8 @@ def derivative_measure(f: BVFunction1D) -> Measure:
         spans = np.diff(f._bp)
         cells = int(min(4096, max(256, 8 * math.ceil(
             (hi - lo) / max(spans.min(), 1e-9)))))
-        grid = UniformGrid.cover_cells([lo], [hi], (hi - lo) / cells)
+        grid = UniformGrid.cover_cells([lo], [hi], (hi - lo) / cells,
+                                       "slope grid of a BV slice")
         h = grid.spacing
         edges = grid.origin[0] - 0.5 * h + h * np.arange(grid.extents[0] + 1)
         cumulative = np.interp(edges, f._bp, f._bpvals)

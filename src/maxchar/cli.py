@@ -30,7 +30,7 @@ from typing import Optional
 from . import specio
 from .decay import decay_sweep
 from .errors import MaxcharError, SpecSchemaError
-from .level_sets import (DECAYS, INCONCLUSIVE, PERSISTS,
+from .level_sets import (DECAYS, INCONCLUSIVE, PERSISTS, WORDS,
                          distribution_experiment, sobolev_experiment)
 from .svgplot import line_plot_svg
 from .verify import constants_json, run_verify
@@ -126,16 +126,12 @@ def _merge_config(args: argparse.Namespace,
             setattr(args, flag.dest, value)
 
 
-# --expect words for the shared verdicts; sobolev also takes the names it
-# prints
-_EXPECT = {
-    "persists": PERSISTS,
-    "bounded_away_from_zero": PERSISTS,
-    "vanishes": DECAYS,
-    "decays_to_zero": DECAYS,
-}
-_EXPECT_SOBOLEV = {**_EXPECT, "w11": DECAYS, "bv-with-jumps": PERSISTS,
-                   "bv_with_jumps": PERSISTS}
+# --expect words for the shared verdicts: the constants and decay's words;
+# sobolev also takes the names it prints, and one alias
+_EXPECT = {w.lower(): c for c in (DECAYS, PERSISTS)
+           for w in (c, WORDS["decay"][c])}
+_EXPECT_SOBOLEV = {**_EXPECT, "bv_with_jumps": PERSISTS,
+                   **{w.lower(): c for c, w in WORDS["sobolev"].items()}}
 
 
 def _expected(args: argparse.Namespace,
@@ -199,20 +195,16 @@ def _cmd_distcurve(args: argparse.Namespace) -> int:
     return _verdict_exit(res.verdict.classification, expected)
 
 
-# the sobolev verdict names
-_SOBOLEV_WORDS = {DECAYS: "W11", PERSISTS: "BV-with-jumps",
-                  INCONCLUSIVE: "inconclusive"}
-
-
 def _cmd_sobolev(args: argparse.Namespace) -> int:
     expected = _expected(args, _EXPECT_SOBOLEV)
     f = specio.load_bv(_require_input(args))
     res = sobolev_experiment(f, **_experiment_args(args))
-    name = _SOBOLEV_WORDS[res.verdict.classification]
-    block = f"verdict={name}\n" + specio.verdict_block(res.verdict)
+    cls = res.verdict.classification
+    block = (f"verdict={WORDS['sobolev'].get(cls, cls)}\n"
+             + specio.verdict_block(res.verdict))
     _write_curve(args, res.curve, block, "oscillation level products")
     sys.stdout.write(block)
-    return _verdict_exit(res.verdict.classification, expected)
+    return _verdict_exit(cls, expected)
 
 
 def _cmd_decay(args: argparse.Namespace) -> int:
@@ -228,7 +220,7 @@ def _cmd_decay(args: argparse.Namespace) -> int:
                             xlabel="delta", ylabel="Q")
         specio.write_text(args.out / "decay.svg", svg)
     sys.stdout.write(block)
-    return _verdict_exit(report.verdict, expected)
+    return _verdict_exit(report.verdict.classification, expected)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

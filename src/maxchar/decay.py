@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .geometry import UniformGrid, as_point
-from .level_sets import DECAYS, INCONCLUSIVE, PERSISTS
+from .level_sets import DECAYS, TailVerdict, classify_tail
 from .maximal import RadiusGrid, maximal_values_at
 from .measure import Measure
 
@@ -108,7 +108,8 @@ def _graded_edges_1d(a: float, b: float, mu: Measure, delta: float,
     """Cell edges on [a, b]: uniform background plus geometric ladders that
     refine toward each atom, down to a fraction of the clipping radius
     mass*delta/2 where min(1/delta, M) saturates."""
-    n_bg = max(8, UniformGrid.cover_cells([a], [b], h_bg).extents[0])
+    n_bg = max(8, UniformGrid.cover_cells([a], [b], h_bg,
+                                          "decay mesh").extents[0])
     edges = [np.linspace(a, b, n_bg + 1)]
     span = _REFINE_SPAN_CELLS * (b - a) / n_bg
     ratio = 10.0 ** (1.0 / _LADDER_PER_DECADE)
@@ -171,7 +172,7 @@ def _slice_field(mu: Measure, center, radius: float, delta: float,
                 "refine the mesh or use a larger delta")
         cx, cy = center
         grid = UniformGrid.cover_cells((a, cy - radius), (b, cy + radius),
-                                       h_bg)
+                                       h_bg, "decay mesh")
         pts = grid.points()
         inside = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2 < radius ** 2
         nodes = pts[inside]
@@ -223,12 +224,9 @@ DEFAULT_DELTAS = tuple(10.0 ** -k for k in range(1, 7))
 class DecayReport:
     deltas: tuple
     q_values: tuple
-    liminf_est: float
-    limsup_est: float
-    verdict: str
+    verdict: TailVerdict
     singular_mass_timeintegral: float
     singular_mass_timeintegral_closed: float
-    threshold: float
 
     def __post_init__(self):
         dl = np.asarray(self.deltas)
@@ -254,24 +252,15 @@ def decay_sweep(tf: TimeField, threshold: Optional[float] = None,
         threshold = 0.2 * tv_closed
     if tv_closed == 0:
         qs = tuple(0.0 for _ in deltas)
-        return DecayReport(deltas, qs, 0.0, 0.0, DECAYS, 0.0, 0.0,
-                           float(threshold))
+        return DecayReport(deltas, qs, TailVerdict(
+            DECAYS, 0.0, 0.0, 0.0, True, float(threshold)), 0.0, 0.0)
     fields = _prepare_slices(tf, deltas[-1], h, radii_per_decade)
     w = tf.time_weights()
     qs = [_q_value(w, fields, delta) for delta in deltas]
     dl = np.asarray(deltas)
     decade = dl <= dl[-1] * 10.0 * (1 + 1e-9)
-    tail = np.asarray(qs)[decade]
-    liminf_est = float(tail.min())
-    limsup_est = float(tail.max())
-    if limsup_est < threshold:
-        verdict = DECAYS
-    elif liminf_est > threshold:
-        verdict = PERSISTS
-    else:
-        verdict = INCONCLUSIVE
-    return DecayReport(deltas, tuple(qs), liminf_est, limsup_est,
-                       verdict, sing_open, sing_closed, float(threshold))
+    verdict = classify_tail(np.asarray(qs)[decade], threshold)
+    return DecayReport(deltas, tuple(qs), verdict, sing_open, sing_closed)
 
 
 def level_integral_slice(mu: Measure, ball_center, ball_radius: float,

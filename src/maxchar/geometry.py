@@ -129,26 +129,28 @@ class UniformGrid:
                          for c, n in zip(self.origin, self.extents)))
 
     @classmethod
-    def cover_cells(cls, lo, hi, spacing: float) -> "UniformGrid":
+    def cover_cells(cls, lo, hi, spacing: float,
+                    name: str = "evaluation window") -> "UniformGrid":
         """Cell-centered grid covering [lo, hi]: first node at lo + h/2.
 
         Refused before anything is built: with a BudgetError when the node
         count, found from the spans (inf past the float range), passes
         GRID_NODE_BUDGET, and with a ResolutionError when floats near the
         box are more than h / 1024 apart, so that node positions could not
-        resolve h."""
+        resolve h.  Both messages open with the caller's name for the
+        grid."""
         lo, hi = ([float(c) for c in np.ravel(v)] for v in (lo, hi))
         extents = [max(1, int(round(s))) if math.isfinite(s) else math.inf
                    for s in ((b - a) / spacing for a, b in zip(lo, hi))]
         box = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
         nodes = math.prod(map(float, extents))
         if nodes > GRID_NODE_BUDGET:
-            raise BudgetError(f"evaluation window {box} at h={spacing:g} "
+            raise BudgetError(f"{name} {box} at h={spacing:g} "
                               f"holds about {nodes:.3g} nodes, over "
                               f"{GRID_NODE_BUDGET}")
         gap = math.ulp(max(abs(c) for c in (*lo, *hi)))
         if gap > spacing * 2.0 ** -10:
-            raise ResolutionError(f"evaluation window {box} cannot resolve "
+            raise ResolutionError(f"{name} {box} cannot resolve "
                                   f"h={spacing:g}: floats there are "
                                   f"{gap:.3g} apart")
         origin = tuple(a + 0.5 * spacing for a in lo)

@@ -5,15 +5,15 @@ computed on the field's evaluation window.  Tail statistics of that curve
 over its top decade classify the input (singular mass persists, absolutely
 continuous mass decays).  The module also carries the point inequality
 checks that share this machinery: the reverse weak (1,1) bound and the
-almost semigroup property of mollified averages.  The verdict constants
-DECAYS, PERSISTS and INCONCLUSIVE are shared by every classifier; each
-command prints them in its own words.
+almost semigroup property of mollified averages.  classify_tail decides
+every tail, a curve's here and decay's Q values, as DECAYS, PERSISTS or
+INCONCLUSIVE; WORDS holds the words sobolev and decay print for them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -245,6 +245,10 @@ def distribution_curve(field: MaximalField,
 DECAYS = "decays_to_zero"
 PERSISTS = "bounded_away_from_zero"
 INCONCLUSIVE = "inconclusive"
+# the words sobolev and decay print for DECAYS and PERSISTS; distcurve
+# prints the constants, and every command prints INCONCLUSIVE as it is
+WORDS = {"sobolev": {DECAYS: "W11", PERSISTS: "BV-with-jumps"},
+         "decay": {DECAYS: "vanishes", PERSISTS: "persists"}}
 
 
 @dataclass(frozen=True)
@@ -262,27 +266,23 @@ class TailVerdict:
             raise ValueError("tail stats out of order")
 
 
-def tail_verdict(curve: DistributionCurve, threshold: float) -> TailVerdict:
-    """Classify the curve by its products over the top decade of levels.
+def classify_tail(tail, threshold: float, unresolved: str = "") -> TailVerdict:
+    """Classify a tail of samples against the threshold.
 
-    decays_to_zero if the whole decade sits below the threshold,
-    bounded_away_from_zero if it sits above; anything else, including a
-    window-boundary flag inside the decade, is inconclusive.
+    decays_to_zero if every sample sits below the threshold,
+    bounded_away_from_zero if every one sits above; anything else is
+    inconclusive, and so is a tail the caller gives an unresolved reason
+    for, with that text as the reason.
     """
-    lam = np.asarray(curve.lambdas)
-    if lam[-1] / lam[0] < 10.0 * (1 - 1e-9):
-        raise ValueError("curve must span at least one decade of levels")
-    decade = lam >= lam[-1] / 10.0 * (1 - _FP)
-    prods = curve.products[decade]
-    tail_min = float(prods.min())
-    tail_max = float(prods.max())
-    tail_last = float(prods[-1])
-    diffs = np.diff(prods)
+    tail = np.asarray(tail, dtype=float)
+    tail_min = float(tail.min())
+    tail_max = float(tail.max())
+    tail_last = float(tail[-1])
+    diffs = np.diff(tail)
     scale = 0.05 * max(tail_max, threshold)  # 5% ripple allowance
     monotone = bool(np.all(diffs <= scale) or np.all(diffs >= -scale))
-    flagged = bool(np.any(np.asarray(curve.flags)[decade]))
-    if flagged:
-        cls, reason = INCONCLUSIVE, "superlevel set reaches the window boundary"
+    if unresolved:
+        cls, reason = INCONCLUSIVE, unresolved
     elif tail_max < threshold:
         cls, reason = DECAYS, ""
     elif tail_min > threshold:
@@ -293,6 +293,20 @@ def tail_verdict(curve: DistributionCurve, threshold: float) -> TailVerdict:
                                                " and is not monotone")
     return TailVerdict(cls, tail_min, tail_max, tail_last, monotone,
                        float(threshold), reason)
+
+
+def tail_verdict(curve: DistributionCurve, threshold: float,
+                 unresolved: str = "") -> TailVerdict:
+    """classify_tail on the curve's products over the top decade of levels,
+    unresolved at a window-boundary flag there unless the caller's reason
+    comes first."""
+    lam = np.asarray(curve.lambdas)
+    if lam[-1] / lam[0] < 10.0 * (1 - 1e-9):
+        raise ValueError("curve must span at least one decade of levels")
+    decade = lam >= lam[-1] / 10.0 * (1 - _FP)
+    if not unresolved and np.any(np.asarray(curve.flags)[decade]):
+        unresolved = "superlevel set reaches the window boundary"
+    return classify_tail(curve.products[decade], threshold, unresolved)
 
 
 def weak11_constant(curve: DistributionCurve, total_mass: float) -> float:
@@ -433,13 +447,12 @@ def sobolev_experiment(f, h: float = 1e-3, radii_per_decade: int = 48,
     curve = distribution_curve(fld, LambdaGrid.geometric(lam_min, lam_max,
                                                          48))
     thr = threshold if threshold is not None else max(0.05 * tv, 1e-12)
-    verdict = tail_verdict(curve, thr)
+    unresolved = ""
     if tv > 0 and not np.any(gf.values):
         # f varies, but the grid sees a constant: A = 0 says nothing
-        verdict = replace(verdict, classification=INCONCLUSIVE,
-                          reason=f"no grid sample at h={h:g} differs from "
-                          "the left-tail value of f")
-    return ExperimentResult(fld, curve, verdict)
+        unresolved = (f"no grid sample at h={h:g} differs from the "
+                      "left-tail value of f")
+    return ExperimentResult(fld, curve, tail_verdict(curve, thr, unresolved))
 
 
 class ReverseWeakResult(NamedTuple):

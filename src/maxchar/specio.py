@@ -24,8 +24,7 @@ from .bv import BVFunction1D, derivative_measure
 from .decay import DecayReport, TimeField
 from .errors import SpecSchemaError
 from .geometry import UniformGrid
-from .level_sets import (DECAYS, INCONCLUSIVE, PERSISTS, DistributionCurve,
-                         TailVerdict)
+from .level_sets import WORDS, DistributionCurve, TailVerdict
 from .measure import Measure
 
 
@@ -297,19 +296,18 @@ def verdict_block(v: TailVerdict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the decay report's words for the shared verdicts
-_DECAY_WORDS = {DECAYS: "vanishes", PERSISTS: "persists",
-                INCONCLUSIVE: "inconclusive"}
-
-
 def decay_block(r: DecayReport) -> str:
-    lines = [f"verdict={_DECAY_WORDS[r.verdict]}",
-             f"liminf_est={fmt(r.liminf_est)}",
-             f"limsup_est={fmt(r.limsup_est)}",
+    v = r.verdict
+    word = WORDS["decay"].get(v.classification, v.classification)
+    lines = [f"verdict={word}",
+             f"liminf_est={fmt(v.tail_min)}",
+             f"limsup_est={fmt(v.tail_max)}",
              f"singular_mass_timeintegral={fmt(r.singular_mass_timeintegral)}",
              "singular_mass_timeintegral_closed="
              + fmt(r.singular_mass_timeintegral_closed),
-             f"threshold={fmt(r.threshold)}"]
+             f"threshold={fmt(v.threshold)}"]
+    if v.reason:
+        lines.append(f"reason={v.reason}")
     return "\n".join(lines) + "\n"
 
 

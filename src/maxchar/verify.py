@@ -293,12 +293,12 @@ def _check_decay(seed, corpus_size):
     for name, tf, expected in entries:
         rep = decay_sweep(tf)
         reports[name] = rep
-        if rep.verdict != expected:
-            return False, f"{name} verdict={rep.verdict}", {}
+        if rep.verdict.classification != expected:
+            return False, f"{name} verdict={rep.verdict.classification}", {}
         sing = rep.singular_mass_timeintegral_closed
         if sing > 0:
-            c1 = min(c1, rep.liminf_est / sing)
-            c2 = max(c2, rep.limsup_est / sing)
+            c1 = min(c1, rep.verdict.tail_min / sing)
+            c2 = max(c2, rep.verdict.tail_max / sing)
     sign_rep = reports.get("sign_jump")
     details = []
     if sign_rep is not None:

@@ -20,7 +20,7 @@ from maxchar.decay import (
 )
 from maxchar.errors import ResolutionError
 from maxchar.geometry import UniformGrid
-from maxchar.level_sets import DECAYS, INCONCLUSIVE, PERSISTS
+from maxchar.level_sets import DECAYS, INCONCLUSIVE, PERSISTS, TailVerdict
 from maxchar.measure import Measure, unit_atom
 
 LN10 = math.log(10.0)
@@ -139,11 +139,11 @@ class TestDecayQuantity:
 class TestDecaySweep:
     def test_atom_persists(self):
         rep = decay_sweep(sign_field())
-        assert rep.verdict == PERSISTS
-        assert rep.threshold == pytest.approx(0.4)
+        assert rep.verdict.classification == PERSISTS
+        assert rep.verdict.threshold == pytest.approx(0.4)
         assert rep.singular_mass_timeintegral == 0.0
         assert rep.singular_mass_timeintegral_closed == pytest.approx(2.0)
-        assert rep.liminf_est > 1.0
+        assert rep.verdict.tail_min > 1.0
         # sweep entries match the per-delta closed form
         for delta, q in zip(rep.deltas, rep.q_values):
             assert q == pytest.approx(1.0 + 1.0 / abs(math.log(delta)),
@@ -151,15 +151,15 @@ class TestDecaySweep:
 
     def test_tent_vanishes(self):
         rep = decay_sweep(tent_field())
-        assert rep.verdict == DECAYS
-        assert rep.limsup_est < rep.threshold
+        assert rep.verdict.classification == DECAYS
+        assert rep.verdict.tail_max < rep.verdict.threshold
         assert rep.q_values[0] / rep.q_values[3] == pytest.approx(4.0,
                                                                   rel=1e-2)
 
     def test_zero_field_short_circuits(self):
         tf = TimeField.steady(Measure(1), [0.0], 1.0)
         rep = decay_sweep(tf)
-        assert rep.verdict == DECAYS
+        assert rep.verdict.classification == DECAYS
         assert rep.q_values == (0.0,) * len(DEFAULT_DELTAS)
 
     def test_time_dependent_mixture(self):
@@ -169,22 +169,23 @@ class TestDecaySweep:
         tf = TimeField(times=(0.25, 0.75), slices=(mu, Measure(1)),
                        ball_center=[0.5], ball_radius=0.5)
         rep = decay_sweep(tf)
-        assert rep.verdict == PERSISTS
+        assert rep.verdict.classification == PERSISTS
         assert rep.singular_mass_timeintegral_closed == pytest.approx(1.0)
         assert rep.q_values[2] == pytest.approx(
             0.5 * (1.0 + 1.0 / (3.0 * LN10)), rel=3e-3)
 
     def test_report_validation(self):
+        verdict = TailVerdict(INCONCLUSIVE, 1.0, 1.0, 1.0, True, 0.1)
         with pytest.raises(ValueError, match="decreasing"):
             DecayReport(deltas=(1e-2, 1e-1), q_values=(1.0, 1.0),
-                        liminf_est=1.0, limsup_est=1.0, verdict=INCONCLUSIVE,
+                        verdict=verdict,
                         singular_mass_timeintegral=0.0,
-                        singular_mass_timeintegral_closed=0.0, threshold=0.1)
+                        singular_mass_timeintegral_closed=0.0)
         with pytest.raises(ValueError, match="nonnegative"):
             DecayReport(deltas=(1e-1, 1e-2), q_values=(1.0, -1.0),
-                        liminf_est=1.0, limsup_est=1.0, verdict=INCONCLUSIVE,
+                        verdict=verdict,
                         singular_mass_timeintegral=0.0,
-                        singular_mass_timeintegral_closed=0.0, threshold=0.1)
+                        singular_mass_timeintegral_closed=0.0)
 
 
 class TestLevelIntegralSlice:

@@ -18,6 +18,7 @@ from maxchar.level_sets import (
     DistributionCurve,
     LambdaGrid,
     TailVerdict,
+    classify_tail,
     distribution_curve,
     distribution_experiment,
     evaluation_window,
@@ -341,6 +342,15 @@ class TestTailVerdict:
                          threshold=0.05)
         assert v.classification == PERSISTS
 
+    def test_callers_reason_wins_over_a_boundary_flag(self):
+        lam = np.geomspace(1.0, 100.0, 60)
+        flags = [False] * 59 + [True]
+        v = tail_verdict(synthetic_curve(lam, 1.0 / lam, flags),
+                         threshold=0.05, unresolved="grid sees a constant")
+        assert v.classification == INCONCLUSIVE
+        assert v.reason == "grid sees a constant"
+        assert v.tail_min == pytest.approx(1.0)
+
     def test_needs_a_full_decade(self):
         lam = np.geomspace(1.0, 5.0, 20)
         with pytest.raises(ValueError, match="decade"):
@@ -350,6 +360,44 @@ class TestTailVerdict:
         with pytest.raises(ValueError, match="out of order"):
             TailVerdict(PERSISTS, tail_min=1.0, tail_max=2.0, tail_last=5.0,
                         monotone=True, threshold=0.1)
+
+
+def _former_decay_rule(tail, threshold):
+    """decay_sweep's own classification before it called classify_tail,
+    kept verbatim as the reference."""
+    liminf_est = float(tail.min())
+    limsup_est = float(tail.max())
+    if limsup_est < threshold:
+        verdict = DECAYS
+    elif liminf_est > threshold:
+        verdict = PERSISTS
+    else:
+        verdict = INCONCLUSIVE
+    return verdict
+
+
+@st.composite
+def tails_and_thresholds(draw):
+    """A nonnegative tail of 2-8 samples and a threshold, some samples
+    equal to it."""
+    sample = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+    threshold = draw(sample)
+    tail = draw(st.lists(st.one_of(sample, st.just(threshold)),
+                         min_size=2, max_size=8))
+    return np.asarray(tail), threshold
+
+
+class TestClassifyTail:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tails_and_thresholds())
+    def test_matches_the_former_decay_rule(self, case):
+        tail, threshold = case
+        v = classify_tail(tail, threshold)
+        assert v.classification == _former_decay_rule(tail, threshold)
+        assert (v.tail_min, v.tail_max, v.tail_last) == (
+            tail.min(), tail.max(), tail[-1])
+        assert v.threshold == threshold
+        assert (v.reason == "") == (v.classification != INCONCLUSIVE)
 
 
 class TestWeak11Constant:

@@ -82,6 +82,7 @@ MEASURE_TABLE = {
     "pair_2d": "RRR",
     "segment_2d": "RII",
     "unit_square_50": "IRR",
+    "unit_square_10": "III",
 }
 ATOM_MASSES = (1.0, 1e2, 1e4, 1e5, 1e6)
 SQUARE_CELLS = (0.1, 0.02)
@@ -97,6 +98,7 @@ DECAY_TABLE = {
     "atom_1d": "RRRIW",
     "unit_square_2d": "WW",
     "atom_2d": "X",
+    "segment_2d": "X",
 }
 # a cell's rank: a move to a lower rank is a regression
 RANK = {"W": 0, "X": 1, "I": 1, "R": 2}
@@ -126,9 +128,12 @@ def _decay_inputs():
                                 0.3) for cell in SQUARE_CELLS]
     atom_2d = TimeField.steady(unit_atom([0.0, 0.0], dimension=2),
                                (0.0, 0.0), 0.5)
+    segment = Measure(2, curves=((np.array([[-1.0, 0.0], [1.0, 0.0]]), 1.0),))
+    segment_2d = TimeField.steady(segment, (0.0, 0.0), 0.5)
     return rows + [("atom_1d", ATOM_MASSES, atoms, True),
                    ("unit_square_2d", SQUARE_CELLS, squares, False),
-                   ("atom_2d", ("",), [atom_2d], True)]
+                   ("atom_2d", ("",), [atom_2d], True),
+                   ("segment_2d", ("",), [segment_2d], True)]
 
 
 def _cell(classify, persists: bool) -> str:
@@ -165,7 +170,8 @@ def test_bv_scorecard():
 def test_measure_scorecard():
     measured = {}
     for name, mu in corpus.measure_corpus() + [
-            ("unit_square_50", _unit_square(0.0, 1.0, 0.02))]:
+            ("unit_square_50", _unit_square(0.0, 1.0, 0.02)),
+            ("unit_square_10", _unit_square(0.0, 1.0, 0.1))]:
         hs = H_1D if mu.dimension == 1 else H_2D
         measured[name] = (hs, "".join(
             _cell(lambda: distribution_experiment(mu, "M", h=h)
@@ -177,8 +183,9 @@ def test_measure_scorecard():
 
 def test_decay_scorecard():
     measured = {
-        name: (labels, "".join(_cell(lambda: decay_sweep(tf).verdict,
-                                     persists) for tf in fields))
+        name: (labels, "".join(
+            _cell(lambda: decay_sweep(tf).verdict.classification, persists)
+            for tf in fields))
         for name, labels, fields, persists in _decay_inputs()}
     assert measured.keys() == DECAY_TABLE.keys()
     _assert_matches(DECAY_TABLE, measured)
@@ -190,5 +197,5 @@ def test_table_totals():
         return {c: cells.count(c) for c in "RIWX"}
 
     assert totals(BV_TABLE) == {"R": 75, "I": 25, "W": 8, "X": 0}
-    assert totals(MEASURE_TABLE) == {"R": 52, "I": 8, "W": 0, "X": 0}
-    assert totals(DECAY_TABLE) == {"R": 10, "I": 1, "W": 3, "X": 1}
+    assert totals(MEASURE_TABLE) == {"R": 52, "I": 11, "W": 0, "X": 0}
+    assert totals(DECAY_TABLE) == {"R": 10, "I": 1, "W": 3, "X": 2}

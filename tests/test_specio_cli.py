@@ -376,11 +376,10 @@ class TestWriters:
 
     def test_decay_csv(self):
         rep = DecayReport(deltas=(0.1, 0.01), q_values=(0.5, 0.25),
-                          liminf_est=0.25, limsup_est=0.5,
-                          verdict="inconclusive",
+                          verdict=TailVerdict("inconclusive", 0.25, 0.5,
+                                              0.25, True, 0.1),
                           singular_mass_timeintegral=0.0,
-                          singular_mass_timeintegral_closed=0.0,
-                          threshold=0.1)
+                          singular_mass_timeintegral_closed=0.0)
         assert decay_csv(rep) == "delta,Q\n0.1,0.5\n0.01,0.25\n"
         block = decay_block(rep)
         assert block.startswith("verdict=inconclusive\n")
@@ -455,7 +454,7 @@ class TestGridBudgetCli:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: evaluation window [0, 1] at h=2e-07 holds "
+        assert err == ("error: decay mesh [0, 1] at h=2e-07 holds "
                        "about 5e+06 nodes, over 2097152\n")
 
     def test_decay_2d_mesh_past_the_budget(self, tmp_path, monkeypatch,
@@ -474,7 +473,7 @@ class TestGridBudgetCli:
         assert run_cli("decay", "--input", str(spec), "--h", "1e-4") == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: evaluation window [-0.3, 0.3] x [-0.3, 0.3] "
+        assert err == ("error: decay mesh [-0.3, 0.3] x [-0.3, 0.3] "
                        "at h=0.0001 holds about 3.6e+07 nodes, over "
                        "2097152\n")
 
@@ -521,6 +520,19 @@ class TestWindowResolution:
         assert err == (f"error: evaluation window [{location:g}, "
                        f"{location:g}] cannot resolve h=0.001: floats there "
                        f"are {gap} apart\n")
+
+    def test_far_bv_slice_names_the_slope_grid(self, tmp_path, capsys):
+        # no --h: the refused grid is the one derivative_measure resamples
+        # the slice's slopes on, 256 cells over its breakpoint span
+        spec = tmp_path / "far_slice.json"
+        spec.write_text(json.dumps({
+            "times": [0.5], "ball": {"center": [0.0], "radius": 1.0},
+            "slices": [{"breakpoints": [1e15, 1e15 + 1.0], "slopes": [1.0]}]}))
+        assert run_cli("decay", "--input", str(spec)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: slope grid of a BV slice [1e+15, 1e+15] cannot "
+                       "resolve h=0.00390625: floats there are 0.125 apart\n")
 
     def test_every_committed_input_resolves(self, tmp_path, monkeypatch):
         """The golden runs' specs and every perfbench distcurve and sobolev
@@ -599,6 +611,19 @@ class TestCliExitCodes:
                        "--radii", "32", "--expect", "persists")
         assert code == 2
         assert "classification=inconclusive" in capsys.readouterr().out
+
+    def test_inconclusive_decay_gives_its_reason(self, tmp_path, capsys):
+        # an atom of mass 1e5 at the centre of B(0, 1): its Q values over
+        # the smallest decade straddle the threshold 0.2 * 1e5
+        p = tmp_path / "heavy_atom.json"
+        p.write_text(json.dumps({
+            "times": [0.5], "ball": {"center": [0.0], "radius": 1.0},
+            "slices": [{"dimension": 1, "atoms": [
+                {"location": 0.0, "weight": 1e5}]}]}))
+        assert run_cli("decay", "--input", str(p)) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("verdict=inconclusive\n")
+        assert out.splitlines()[-1] == "reason=tail straddles threshold"
 
     def test_usage_errors(self, tmp_path, capsys):
         atom = str(SPECS / "unit_atom.json")
