@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import FieldError
 from .geometry import UniformGrid
 from .measure import Measure
 
@@ -58,21 +59,24 @@ class BVFunction1D:
         sl = np.asarray(self.slopes, dtype=float)
         if bp.size:
             if len(sl) != len(bp) - 1:
-                raise ValueError("need one slope per breakpoint interval")
+                raise FieldError("need one slope per breakpoint interval",
+                                 "slopes")
             if not np.all(np.diff(bp) > 0):
-                raise ValueError("breakpoints must be strictly increasing")
+                raise FieldError("breakpoints must be strictly increasing",
+                                 "breakpoints")
         elif len(sl):
-            raise ValueError("slopes without breakpoints")
+            raise FieldError("slopes without breakpoints", "slopes")
         if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(sl))):
-            raise ValueError("non-finite breakpoints or slopes")
+            raise FieldError("non-finite breakpoints or slopes", "slopes"
+                             if np.all(np.isfinite(bp)) else "breakpoints")
         jumps = sorted(((float(x), float(h)) for x, h in self.jumps),
                        key=lambda p: p[0])
         jloc = np.asarray([x for x, _ in jumps], dtype=float)
         jh = np.asarray([h for _, h in jumps], dtype=float)
         if jloc.size and np.any(np.diff(jloc) == 0):
-            raise ValueError("jump locations must be distinct")
+            raise FieldError("jump locations must be distinct", "jumps")
         if not (np.all(np.isfinite(jloc)) and np.all(np.isfinite(jh))):
-            raise ValueError("non-finite jumps")
+            raise FieldError("non-finite jumps", "jumps")
         object.__setattr__(self, "breakpoints", tuple(bp))
         object.__setattr__(self, "slopes", tuple(sl))
         object.__setattr__(self, "jumps", tuple(jumps))
@@ -100,9 +104,9 @@ class BVFunction1D:
         if self.compact_support:
             final = float(vals[-1]) + float(np.sum(jh))
             if abs(self.initial_value) > _EPS or abs(final) > _EPS:
-                raise ValueError(
+                raise FieldError(
                     f"compact support needs zero tails, got "
-                    f"{self.initial_value} and {final}")
+                    f"{self.initial_value} and {final}", "compact_support")
 
     # ------------------------------------------------------------------
 

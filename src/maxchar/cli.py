@@ -185,8 +185,9 @@ def _write_curve(args: argparse.Namespace, curve, block: str, title: str):
 def _cmd_distcurve(args: argparse.Namespace) -> int:
     expected = _expected(args)
     mu = specio.load_measure(_require_input(args))
-    if args.variant == "Mtau" and args.tau is None:
-        raise SpecSchemaError("variant Mtau requires --tau")
+    if (args.variant == "Mtau") != (args.tau is not None):
+        raise SpecSchemaError("variant Mtau requires --tau" if args.tau is None
+                              else "--tau applies only to variant Mtau")
     res = distribution_experiment(mu, **_experiment_args(args))
     block = specio.verdict_block(res.verdict)
     _write_curve(args, res.curve, block,

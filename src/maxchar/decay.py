@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import FieldError, ResolutionError
 from .geometry import UniformGrid, as_point
 from .level_sets import DECAYS, TailVerdict, classify_tail
 from .maximal import RadiusGrid, maximal_values_at
@@ -43,24 +43,26 @@ class TimeField:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         if t.size == 0:
-            raise ValueError("need at least one time sample")
+            raise FieldError("need at least one time sample", "times")
         if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
+            raise FieldError("times must be strictly increasing", "times")
         if len(self.slices) != t.size:
-            raise ValueError("one derivative slice per time sample")
+            raise FieldError("one derivative slice per time sample", "slices")
         if not all(isinstance(s, Measure) for s in self.slices):
-            raise ValueError("slices must be Measure instances")
+            raise FieldError("slices must be Measure instances", "slices")
         dims = {s.dimension for s in self.slices}
         if len(dims) != 1:
-            raise ValueError("slices must share a dimension")
+            raise FieldError("slices must share a dimension", "slices")
         d = dims.pop()
-        center = as_point(self.ball_center, d)
+        center = as_point(self.ball_center, d, "ball_center")
         if not (math.isfinite(self.ball_radius) and self.ball_radius > 0):
-            raise ValueError("ball radius must be finite and positive")
+            raise FieldError("ball radius must be finite and positive",
+                             "ball_radius")
         if not math.isfinite(self.horizon):
-            raise ValueError("horizon must be finite")
+            raise FieldError("horizon must be finite", "horizon")
         if not (self.horizon > 0 and t[0] > 0 and t[-1] < self.horizon):
-            raise ValueError("times must lie strictly inside (0, horizon)")
+            raise FieldError("times must lie strictly inside (0, horizon)",
+                             "times" if self.horizon > 0 else "horizon")
         object.__setattr__(self, "times", tuple(t))
         object.__setattr__(self, "slices", tuple(self.slices))
         object.__setattr__(self, "ball_center", center)
@@ -269,16 +271,25 @@ def level_integral_slice(mu: Measure, ball_center, ball_radius: float,
 
     B' is the ball shrunk by two background cells, r / 64 in all: the
     localization device that links the clipped integral to the level-set
-    lower bound.  The lambda integral is exact for the sampled field: each
-    node contributes weight * (min(value, lam_hi) - lam_lo)+.
+    lower bound; 1_B' keeps the atoms strictly inside B' and the density
+    cells whose centers are.  The lambda integral is exact for the sampled
+    field: each node contributes weight * (min(value, lam_hi) - lam_lo)+.
     """
     _validate_delta(delta)
     if mu.dimension != 1:
         raise ValueError("the slice diagnostic is one-dimensional")
     h_bg = 2.0 * ball_radius / _BACKGROUND_CELLS
-    restricted = mu.absolute().restricted_to_ball(ball_center,
-                                                  ball_radius - 2.0 * h_bg)
-    values, weights = _slice_field(restricted, as_point(ball_center, 1),
+    center = as_point(ball_center, 1)
+    core = ball_radius - 2.0 * h_bg
+    absolute = mu.absolute()
+    atoms = tuple((p, w) for p, w in absolute.atoms
+                  if abs(p[0] - center[0]) < core)
+    density = None
+    if absolute.density is not None:
+        grid, cell_values = absolute.density
+        inside = np.abs(grid.axis(0) - center[0]) < core
+        density = (grid, np.where(inside, cell_values, 0.0))
+    values, weights = _slice_field(Measure(1, atoms, density), center,
                                    ball_radius, delta, h_bg, _PER_DECADE)
     lam_lo = delta ** -0.5
     lam_hi = 1.0 / delta

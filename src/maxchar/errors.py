@@ -5,6 +5,15 @@ class MaxcharError(Exception):
     """Base class for all library-specific failures."""
 
 
+class FieldError(ValueError):
+    """A constructor rule's ValueError naming the argument at fault, then
+    for one entry of a sequence its index and part: the spec key's line."""
+
+    def __init__(self, message, *field):
+        super().__init__(message)
+        self.field = field
+
+
 class SpecSchemaError(MaxcharError):
     """Raised when an input spec file is malformed.
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ResolutionError
+from .errors import BudgetError, FieldError, ResolutionError
 
 # Volume of the unit ball, hard-coded for the two supported dimensions.
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
@@ -24,17 +24,18 @@ def ball_volume(dimension: int, r: float) -> float:
     return UNIT_BALL_VOLUME[dimension] * r**dimension
 
 
-def as_point(x, dimension: int) -> tuple[float, ...]:
-    """Coerce a scalar or coordinate sequence to a finite tuple of length d."""
+def as_point(x, dimension: int, *field) -> tuple[float, ...]:
+    """Coerce a scalar or coordinate sequence to a finite tuple of length d,
+    or raise a FieldError of field, the argument x was given as."""
     if np.isscalar(x):
         pt = (float(x),)
     else:
         pt = tuple(float(c) for c in x)
     if len(pt) != dimension:
-        raise ValueError(f"dimension mismatch: expected {dimension} "
-                         f"coordinates, got {len(pt)}")
+        raise FieldError(f"dimension mismatch: expected {dimension} "
+                         f"coordinates, got {len(pt)}", *field)
     if not all(math.isfinite(c) for c in pt):
-        raise ValueError(f"non-finite coordinates: {pt}")
+        raise FieldError(f"non-finite coordinates: {pt}", *field)
     return pt
 
 
@@ -157,14 +158,14 @@ class UniformGrid:
         return cls(origin, spacing, extents)
 
 
-def segment_ball_clip(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
-                      radii: np.ndarray):
-    """Where one segment runs inside per-center balls: (t0, t1), two (n,)
-    arrays, so that a + t (b - a) for t in [t0, t1] is the part inside.
-    Both lie in [0, 1], and t0 = t1 where the segment misses the ball
-    (always, for a segment of length 0).
+def segment_ball_chords_at(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
+                           radii: np.ndarray) -> np.ndarray:
+    """Total chord length of one segment inside per-center balls: the
+    segment a + t (b - a) runs inside for t in [t0, t1], both clipped to
+    [0, 1], and t0 = t1 where it misses the ball (always, for a segment
+    of length 0).
 
-    centers is (n, d), radii is (n,), the segment is fixed.
+    centers is (n, d), radii is (n,), the segment is fixed.  Returns (n,).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -184,18 +185,7 @@ def segment_ball_clip(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
         sq = np.sqrt(disc[ok])
         t0[ok] = np.clip((-bq[ok] - sq) / (2.0 * seg2), 0.0, 1.0)
         t1[ok] = np.clip((-bq[ok] + sq) / (2.0 * seg2), 0.0, 1.0)
-    return t0, t1
-
-
-def segment_ball_chords_at(a: np.ndarray, b: np.ndarray, centers: np.ndarray,
-                           radii: np.ndarray) -> np.ndarray:
-    """Total chord length of one segment inside per-center balls.
-
-    centers is (n, d), radii is (n,), the segment is fixed.  Returns (n,).
-    """
-    t0, t1 = segment_ball_clip(a, b, centers, radii)
-    u = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    return (t1 - t0) * math.sqrt(float(u @ u))
+    return (t1 - t0) * math.sqrt(seg2)
 
 
 def point_segment_distance(pts: np.ndarray, a: np.ndarray,

@@ -24,6 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .errors import FieldError
 from .geometry import (
     UNIT_BALL_VOLUME,
     Box,
@@ -31,7 +32,6 @@ from .geometry import (
     as_point,
     point_segment_distance,
     segment_ball_chords_at,
-    segment_ball_clip,
 )
 
 # A 1D density cell edge counts as a sharp feature when the value step across
@@ -47,19 +47,20 @@ _SIDES_OPEN = ("left", "right")  # upper bound excluded, lower excluded
 _SIDES_CLOSED = ("right", "left")
 
 
-def _as_curve(points, rho):
+def _as_curve(points, rho, *field):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-        raise ValueError("curve needs an (m, 2) array of at least two points")
+        raise FieldError("curve needs an (m, 2) array of at least two "
+                         "points", *field)
     if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite curve points")
+        raise FieldError("non-finite curve points", *field)
     seg = np.diff(pts, axis=0)
     if np.any(np.all(seg == 0, axis=1)):
-        raise ValueError("curve has a zero-length segment")
-    # chords, distances and restriction all work from u . u
+        raise FieldError("curve has a zero-length segment", *field)
+    # chords and distances work from u . u
     if not np.all(np.einsum("ij,ij->i", seg, seg) > 0):
-        raise ValueError("curve has a segment whose squared length "
-                         "underflows")
+        raise FieldError("curve has a segment whose squared length "
+                         "underflows", *field)
     return pts, float(rho), np.linalg.norm(seg, axis=1)
 
 
@@ -92,13 +93,13 @@ _NO_SEGMENTS = _SegmentTable(np.empty((0, 2)), np.empty((0, 2)), np.empty(0),
                              np.empty(0), ())
 
 
-def _finite_total_variation(tv: float, parts: np.ndarray,
-                            scale: float = 1.0) -> float:
-    """tv + scale * sum(parts), raising instead of overflowing."""
+def _finite_total_variation(tv: float, parts: np.ndarray, scale: float,
+                            *field) -> float:
+    """tv + scale * sum(parts), a FieldError of field if it overflows."""
     with np.errstate(over="ignore"):
         tv += float(np.sum(parts)) * scale
     if not math.isfinite(tv):
-        raise ValueError("total variation must be finite")
+        raise FieldError("total variation must be finite", *field)
     return tv
 
 
@@ -117,30 +118,32 @@ class Measure:
         if d not in (1, 2):
             raise ValueError(f"unsupported dimension {d}")
 
-        # normalize atoms
-        pos = []
-        wts = []
-        for loc, w in self.atoms:
-            p = as_point(loc, d)
+        # normalize atoms; a fault names the atom's index
+        pos, wts, index = [], [], []
+        for i, (loc, w) in enumerate(self.atoms):
+            p = as_point(loc, d, "atoms", i, "location")
             w = float(w)
             if not math.isfinite(w):
-                raise ValueError("non-finite atom weight")
+                raise FieldError("non-finite atom weight", "atoms", i,
+                                 "weight")
             if w == 0.0:
                 continue
             pos.append(p)
             wts.append(w)
+            index.append(i)
         apos = np.asarray(pos, dtype=float).reshape(len(pos), d)
         aw = np.asarray(wts, dtype=float)
-        if len(apos) > 1:
-            uniq = {tuple(p) for p in apos}
-            if len(uniq) != len(apos):
-                raise ValueError("atom locations must be pairwise distinct")
+        first = {}  # the first index of each location
+        for i, p in zip(index, pos):
+            if first.setdefault(p, i) != i:
+                raise FieldError("atom locations must be pairwise distinct",
+                                 "atoms", i, "location")
         object.__setattr__(self, "atoms", tuple(zip(map(tuple, apos), aw)))
         object.__setattr__(self, "_apos", apos)
         object.__setattr__(self, "_aw", aw)
         # total variation is summed before any cumulative sum, so weights
         # whose sum overflows fail with the error below and no numpy warning
-        tv = _finite_total_variation(0.0, np.abs(aw))
+        tv = _finite_total_variation(0.0, np.abs(aw), 1.0, "atoms")
 
         # normalize density; only a 1D density has sharp edges
         object.__setattr__(self, "_sharp_edges", np.empty(0, dtype=float))
@@ -152,10 +155,12 @@ class Measure:
                 raise ValueError("density grid dimension mismatch")
             values = np.asarray(values, dtype=float).reshape(grid.extents)
             if not np.all(np.isfinite(values)):
-                raise ValueError("non-finite density values")
+                raise FieldError("non-finite density values", "density",
+                                 "values")
             object.__setattr__(self, "density", (grid, values))
             cellv = grid.cell_volume
-            tv = _finite_total_variation(tv, np.abs(values), cellv)
+            tv = _finite_total_variation(tv, np.abs(values), cellv,
+                                         "density", "values")
             if d == 1:
                 edges = grid.origin[0] - 0.5 * grid.spacing + \
                     grid.spacing * np.arange(grid.extents[0] + 1)
@@ -199,16 +204,16 @@ class Measure:
 
         # normalize curves; every curve walk reads the segment table
         curves = []
-        for points, rho in self.curves:
+        for i, (points, rho) in enumerate(self.curves):
             if d != 2:
                 raise ValueError("curves are only supported in d = 2")
-            curves.append(_as_curve(points, rho))
+            curves.append(_as_curve(points, rho, "curves", i, "points"))
         object.__setattr__(self, "curves",
                            tuple((pts, rho) for pts, rho, _ in curves))
         object.__setattr__(self, "_segs", _SegmentTable.of(curves))
 
         for rho, length in self._curve_totals():
-            tv = _finite_total_variation(tv, length, abs(rho))
+            tv = _finite_total_variation(tv, length, abs(rho), "curves")
         object.__setattr__(self, "_total_variation", tv)
 
     def _curve_totals(self):
@@ -468,33 +473,6 @@ class Measure:
             density = self.density if self.density is not None else other.density
         curves = tuple(self.curves) + tuple(other.curves)
         return Measure(self.dimension, atoms, density, curves)
-
-    # ------------------------------------------------------------------
-
-    def restricted_to_ball(self, center, radius: float) -> "Measure":
-        """Restriction to the open ball: atoms kept if strictly inside,
-        density cells by the center-in rule, curve segments exactly clipped."""
-        c = np.asarray(as_point(center, self.dimension))
-        atoms = []
-        if len(self._apos):
-            dist = self._atom_distances(c[None, :])[0]
-            for i in np.nonzero(dist < radius)[0]:
-                atoms.append((tuple(self._apos[i]), self._aw[i]))
-        density = None
-        if self.density is not None:
-            grid, values = self.density
-            pts = grid.points()
-            inside = np.linalg.norm(pts - c, axis=1) < radius
-            vnew = np.where(inside.reshape(grid.extents), values, 0.0)
-            density = (grid, vnew)
-        curves = []
-        for a, b, rho in self._segments():
-            (t0,), (t1,) = segment_ball_clip(a, b, c[None, :],
-                                             np.array([radius]))
-            if t1 - t0 > 1e-14:
-                u = b - a
-                curves.append((np.vstack([a + t0 * u, a + t1 * u]), rho))
-        return Measure(self.dimension, tuple(atoms), density, tuple(curves))
 
 
 def unit_atom(x, dimension: int = 1) -> Measure:

@@ -32,6 +32,10 @@ def fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+# the spec's key path for each constructor argument it names otherwise
+_SPEC_KEYS = {"ball_center": ("ball", "center"),
+              "ball_radius": ("ball", "radius"), "horizon": ("T",)}
+
 # the JSON word for each type json.loads builds, for schema errors
 _JSON_TYPES = {type(None): "null", bool: "boolean", int: "number",
                float: "number", str: "string", list: "array", dict: "object"}
@@ -81,15 +85,25 @@ class _Ctx:
         return SpecSchemaError(message, path=self.path,
                                line=self.text.count("\n", 0, at) + 1)
 
-    def fail(self, message: str, key: str) -> SpecSchemaError:
-        """An error on the line of key in the object it was read from (a
-        config key: the top level), or of that object's brace if key is
-        missing from it."""
-        obj = self.holder.get(key, self.built[-1])  # the root closes last
+    def fail(self, message: str, key: str, obj=None) -> SpecSchemaError:
+        """An error on the line of key in obj, by default the object key
+        was read from (a config key: the top level), or of obj's brace if
+        key is missing from it."""
+        if obj is None:
+            obj = self.holder.get(key, self.built[-1])  # root closes last
         brace, keys = next(found for built, found
                            in zip(self.built, self._objects())
                            if built is obj)
         return self.error(message, keys.get(key, brace))
+
+    def refuse(self, obj: dict, what: str, e: ValueError, default: str):
+        """fail "invalid <what>: <e>" for obj's constructor error e, at the
+        key a FieldError names (read down from obj), else at default."""
+        head, *rest = getattr(e, "field", ()) or (default,)
+        *path, key = *_SPEC_KEYS.get(head, (head,)), *rest
+        for step in path:
+            obj = obj[step]
+        return self.fail(f"invalid {what}: {e}", key, obj)
 
     def get(self, obj: dict, key: str, default=None):
         self.holder[key] = obj
@@ -174,7 +188,7 @@ def _parse_measure(obj: dict, ctx: _Ctx) -> Measure:
         return Measure(d, atoms=tuple(atoms), density=density,
                        curves=tuple(curves))
     except ValueError as e:
-        raise ctx.fail(f"invalid measure: {e}", "dimension")
+        raise ctx.refuse(obj, "measure", e, "dimension")
 
 
 def _parse_bv(obj: dict, ctx: _Ctx) -> BVFunction1D:
@@ -195,7 +209,7 @@ def _parse_bv(obj: dict, ctx: _Ctx) -> BVFunction1D:
                                       "initial_value", 0),
             compact_support=compact)
     except ValueError as e:
-        raise ctx.fail(f"invalid function: {e}", "breakpoints")
+        raise ctx.refuse(obj, "function", e, "breakpoints")
 
 
 def _parse_timefield(obj: dict, ctx: _Ctx) -> TimeField:
@@ -228,7 +242,7 @@ def _parse_timefield(obj: dict, ctx: _Ctx) -> TimeField:
                          ball_center=tuple(ctx.numbers(center, "center")),
                          ball_radius=radius, horizon=horizon)
     except ValueError as e:
-        raise ctx.fail(f"invalid time field: {e}", "times")
+        raise ctx.refuse(obj, "time field", e, "times")
 
 
 def read_object(path):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxchar import decay
 from maxchar.bv import BVFunction1D, derivative_measure
@@ -19,7 +20,7 @@ from maxchar.decay import (
     level_integral_slice,
 )
 from maxchar.errors import ResolutionError
-from maxchar.geometry import UniformGrid
+from maxchar.geometry import UniformGrid, as_point
 from maxchar.level_sets import DECAYS, INCONCLUSIVE, PERSISTS, TailVerdict
 from maxchar.measure import Measure, unit_atom
 
@@ -188,6 +189,68 @@ class TestDecaySweep:
                         singular_mass_timeintegral_closed=0.0)
 
 
+def _former_restriction(self, center, radius: float) -> Measure:
+    """Measure.restricted_to_ball before level_integral_slice cut its own
+    core, kept verbatim as the reference (self is the measure) but for its
+    curve loop, which a one-dimensional measure never enters."""
+    c = np.asarray(as_point(center, self.dimension))
+    atoms = []
+    if len(self._apos):
+        dist = self._atom_distances(c[None, :])[0]
+        for i in np.nonzero(dist < radius)[0]:
+            atoms.append((tuple(self._apos[i]), self._aw[i]))
+    density = None
+    if self.density is not None:
+        grid, values = self.density
+        pts = grid.points()
+        inside = np.linalg.norm(pts - c, axis=1) < radius
+        vnew = np.where(inside.reshape(grid.extents), values, 0.0)
+        density = (grid, vnew)
+    curves = []
+    return Measure(self.dimension, tuple(atoms), density, tuple(curves))
+
+
+def _former_slice(mu, center, radius, delta):
+    """level_integral_slice as it was, on _former_restriction."""
+    h_bg = 2.0 * radius / decay._BACKGROUND_CELLS
+    restricted = _former_restriction(mu.absolute(), center,
+                                     radius - 2.0 * h_bg)
+    values, weights = decay._slice_field(restricted, as_point(center, 1),
+                                         radius, delta, h_bg,
+                                         decay._PER_DECADE)
+    gain = np.maximum(0.0, np.minimum(values, 1.0 / delta) - delta ** -0.5)
+    return float(np.dot(weights, gain))
+
+
+@st.composite
+def slice_cases(draw):
+    """(mu, center, radius, delta): signed atoms around the ball, some on
+    the core edge, and maybe a signed density of 8-300 cells spanning
+    ranges on both sides of that edge, large enough to pass the lowest
+    level delta^-1/2."""
+    c = draw(st.floats(-2.0, 2.0))
+    r = draw(st.floats(0.05, 3.0))
+    delta = 10.0 ** -draw(st.floats(math.log10(2.0), 6.0))
+    core = r - 2.0 * (2.0 * r / decay._BACKGROUND_CELLS)
+    place = st.one_of(st.floats(c - 1.5 * r, c + 1.5 * r),
+                      st.sampled_from([c - core, c + core]))
+    signed = st.tuples(st.floats(0.01, 10.0), st.sampled_from([1.0, -1.0]))
+    atoms = tuple(((x,), w * sign) for x, (w, sign) in zip(
+        draw(st.lists(place, max_size=4, unique=True)),
+        draw(st.lists(signed, min_size=4, max_size=4))))
+    density = None
+    if draw(st.booleans()):
+        n = draw(st.integers(8, 300))
+        lo = draw(st.floats(c - 1.5 * r, c - 0.5 * r))
+        hi = draw(st.floats(c + 0.5 * r, c + 1.5 * r))
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n,
+                               max_size=n))
+        spacing = (hi - lo) / n
+        density = (UniformGrid((lo + 0.5 * spacing,), spacing, (n,)),
+                   np.asarray(values))
+    return Measure(1, atoms, density), [c], r, delta
+
+
 class TestLevelIntegralSlice:
     def test_atom_log_integral(self):
         # field 1/|x| on (-1, 1): the lambda integral from delta^-1/2 to
@@ -202,7 +265,47 @@ class TestLevelIntegralSlice:
         out = level_integral_slice(mu, [0.0], 1.0, 1e-3)
         assert out == 0.0
 
-    def test_validation(self):
+    def test_atoms_strictly_inside_the_core(self):
+        # an atom exactly on the core edge r - r/64 is left out; one a
+        # float inside it is kept, by its mass whatever its sign
+        core = 1.0 - 2.0 * (2.0 / decay._BACKGROUND_CELLS)
+        centre = ((0.0,), 2.0)
+        alone = level_integral_slice(Measure(1, atoms=(centre,)), [0.0],
+                                     1.0, 1e-3)
+        on_edge = Measure(1, atoms=(centre, ((core,), 2.0)))
+        assert level_integral_slice(on_edge, [0.0], 1.0, 1e-3) == alone
+        inside = Measure(1, atoms=(centre, ((np.nextafter(core, 0.0),),
+                                            -2.0)))
+        assert level_integral_slice(inside, [0.0], 1.0, 1e-3) > alone
+
+    def test_density_center_in_rule(self):
+        # cells of 0.1 on [-2, 2] against the core edge 1 - 1/64: the
+        # cells [0.9, 1] and [-1, -0.9] cross it and count whole, the
+        # cells beyond 1 not at all
+        grid = UniformGrid.cover_cells([-2.0], [2.0], 0.1)
+        x = grid.axis(0)
+
+        def slab(half_width):
+            values = np.where(np.abs(x) < half_width, 3.0, 0.0)
+            return level_integral_slice(Measure(1, density=(grid, values)),
+                                        [0.0], 1.0, 0.25)
+
+        assert slab(np.inf) == slab(1.0)
+        assert slab(1.0) > slab(0.9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(slice_cases())
+    def test_matches_the_former_restriction(self, case):
+        mu, center, radius, delta = case
+        assert level_integral_slice(mu, center, radius, delta) == \
+            _former_slice(mu, center, radius, delta)
+
+    def test_validation(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("built before the dimension check")
+
+        monkeypatch.setattr(Measure, "absolute", built)
+        monkeypatch.setattr(decay, "_slice_field", built)
         with pytest.raises(ValueError, match="one-dimensional"):
             level_integral_slice(unit_atom([0.0, 0.0], dimension=2),
                                  [0.0, 0.0], 1.0, 1e-3)

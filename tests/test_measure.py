@@ -490,7 +490,6 @@ class TestCurveTable:
         assert np.array_equal(mu.singular_support_distance(pts),
                               atom.singular_support_distance(pts))
         assert mu.support_box() == atom.support_box()
-        assert mu.restricted_to_ball((0.0, 0.0), 2.0).curves == ()
         assert len(mu.curves) == 1
 
 
@@ -508,24 +507,6 @@ class TestAlgebra:
         mu2 = Measure(2, atoms=(((0.0, 0.0), 1.0),))
         assert mu2.mollified_density((0.0, 0.0), 0.5) == pytest.approx(
             1.0 / (math.pi * 0.25))
-
-
-class TestRestriction:
-    def test_atoms_strictly_inside(self):
-        mu = Measure(1, atoms=(((0.0,), 1.0), ((1.0,), 1.0)))
-        res = mu.restricted_to_ball(0.0, 1.0)
-        assert res.total_variation() == 1.0
-
-    def test_density_center_in_rule(self):
-        mu = box_density(-1.0, 1.0, 200)
-        res = mu.restricted_to_ball(0.0, 0.5)
-        assert res.total_variation() == pytest.approx(1.0, rel=0.02)
-
-    def test_curve_clipping(self):
-        seg = np.array([[-2.0, 0.0], [2.0, 0.0]])
-        mu = Measure(2, curves=((seg, 1.0),))
-        res = mu.restricted_to_ball((0.0, 0.0), 1.0)
-        assert res.total_variation() == pytest.approx(2.0)
 
 
 class TestGridFunction:

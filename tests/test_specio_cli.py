@@ -189,6 +189,69 @@ class TestLoaders:
         assert main(["distcurve", "--input", str(p)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {p}:{line}: ")
 
+    @pytest.mark.parametrize("command,lines,line,message", [
+        ("decay", ['{', '  "times": [0.5],',
+                   '  "slices": [{"dimension": 1, "atoms": []}],',
+                   '  "ball": {"center": 0, "radius": 1},', '  "T": -1', '}'],
+         5, "invalid time field: times must lie strictly inside (0, "
+            "horizon)"),
+        ("decay", ['{', '  "times": [0.5],',
+                   '  "slices": [{"dimension": 1, "atoms": []}],',
+                   '  "ball": {"center": 0, "radius": -1}', '}'],
+         4, "invalid time field: ball radius must be finite and positive"),
+        ("sobolev", ['{', '  "breakpoints": [0, 1, 2],', '  "slopes": [1]',
+                     '}'],
+         3, "invalid function: need one slope per breakpoint interval"),
+        ("distcurve", ['{', '  "dimension": 1,', '  "atoms": [',
+                       '    {"location": 0, "weight": 1},',
+                       '    {"location": 0, "weight": 1}', '  ]', '}'],
+         5, "invalid measure: atom locations must be pairwise distinct"),
+        ("distcurve", ['{', '  "dimension": 1,', '  "atoms": [',
+                       '    {"location": 0, "weight": 1e308},',
+                       '    {"location": 1, "weight": 1e308}', '  ]', '}'],
+         3, "invalid measure: total variation must be finite"),
+        # the repeat of the first location, not the last atom read
+        ("distcurve", ['{', '  "dimension": 1,', '  "atoms": [',
+                       '    {"location": 0, "weight": 1},',
+                       '    {"location": 1, "weight": 0},',
+                       '    {"location": 1, "weight": 1},',
+                       '    {"location": 0, "weight": 1},',
+                       '    {"location": 2, "weight": 1}', '  ]', '}'],
+         7, "invalid measure: atom locations must be pairwise distinct"),
+        ("distcurve", ['{', '  "dimension": 1,', '  "atoms": [',
+                       '    {"location": 0, "weight": 1},',
+                       '    {"location": 1,', '     "weight": 1e309}',
+                       '  ]', '}'],
+         6, "invalid measure: non-finite atom weight"),
+        ("distcurve", ['{', '  "dimension": 1,', '  "density": {',
+                       '    "origin": [0], "spacing": 0.5,',
+                       '    "values": [1, 1e309]', '  }', '}'],
+         5, "invalid measure: non-finite density values"),
+        ("distcurve", ['{', '  "dimension": 2,', '  "curves": [',
+                       '    {"points": [[0, 0], [1, 1]], "density": 1},',
+                       '    {"density": 1,',
+                       '     "points": [[0, 0], [0, 0]]}', '  ]', '}'],
+         6, "invalid measure: curve has a zero-length segment"),
+        ("sobolev", ['{', '  "breakpoints": [0, 1],', '  "slopes": [1e309]',
+                     '}'],
+         3, "invalid function: non-finite breakpoints or slopes"),
+        # a measure slice of a time field: the slice's atom
+        ("decay", ['{', '  "times": [0.5],', '  "slices": [',
+                   '    {"dimension": 1, "atoms": [',
+                   '      {"location": 0, "weight": 1},',
+                   '      {"location": 0, "weight": 1}]}', '  ],',
+                   '  "ball": {"center": 0, "radius": 1}', '}'],
+         6, "invalid measure: atom locations must be pairwise distinct"),
+    ], ids=["horizon", "radius", "slopes", "repeated-atom", "atoms-total",
+            "first-repeat", "atom-weight", "density-values", "curve-points",
+            "non-finite-slope", "slice-atom"])
+    def test_constructor_error_names_the_key_at_fault(
+            self, tmp_path, capsys, command, lines, line, message):
+        p = tmp_path / "spec.json"
+        p.write_text("\n".join(lines) + "\n")
+        assert main([command, "--input", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: {p}:{line}: {message}\n")
+
     def test_error_names_the_slice_at_fault(self, tmp_path):
         # two 2D density slices; the second's values hold a string
         p = tmp_path / "tf.json"
@@ -654,17 +717,17 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, argv
 
-    @pytest.mark.parametrize("ball,horizon,reason", [
-        ('{"center": [0.5], "radius": 1e309}', "",
+    @pytest.mark.parametrize("ball,horizon,line,reason", [
+        ('{"center": [0.5], "radius": 1e309}', "", 4,
          "ball radius must be finite and positive"),
-        ('{"center": [1e309], "radius": 0.5}', "",
+        ('{"center": [1e309], "radius": 0.5}', "", 4,
          "non-finite coordinates: (inf,)"),
-        ('{"center": [0.5], "radius": 0.5}', ',\n  "T": 1e309',
+        ('{"center": [0.5], "radius": 0.5}', ',\n  "T": 1e309', 5,
          "horizon must be finite"),
     ], ids=["radius", "center", "horizon"])
     def test_non_finite_time_field(self, tmp_path, capsys, ball, horizon,
-                                   reason):
-        # JSON reads 1e309 as inf
+                                   line, reason):
+        # JSON reads 1e309 as inf; the error names the line of its key
         p = tmp_path / "tf.json"
         p.write_text('{\n  "times": [0.5],\n'
                      '  "slices": [{"dimension": 1, "atoms": []}],\n'
@@ -672,7 +735,23 @@ class TestCliExitCodes:
         assert run_cli("decay", "--input", str(p)) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: {p}:2: invalid time field: {reason}\n"
+        assert err == f"error: {p}:{line}: invalid time field: {reason}\n"
+
+    @pytest.mark.parametrize("argv,config", [
+        (("--variant", "Mbar", "--tau", "0.5"), None),
+        (("--tau", "0.5"), None),
+        ((), '{\n  "tau": 0.5\n}\n'),
+        (("--variant", "M"), '{\n  "tau": 0.5\n}\n'),
+    ], ids=["Mbar-flag", "default-flag", "default-config", "M-config"])
+    def test_tau_needs_variant_mtau(self, tmp_path, capsys, argv, config):
+        args = ["distcurve", "--input", str(SPECS / "unit_atom.json"), *argv]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr() == (
+            "", "error: --tau applies only to variant Mtau\n")
 
     @pytest.mark.parametrize("argv,config", [
         (("distcurve", "unit_atom.json", "--threads", "2"), None),
